@@ -16,9 +16,9 @@ module Value = P4ir.Value
 
 let routed_probe = Packet.serialize (Packet.udp_ipv4 ~dst:0x0A000005L ())
 
-(* Rows measuring a specific engine pin it explicitly so the suite stays
-   meaningful whatever NETDEBUG_ENGINE says: B1/B2 and their instrumented
-   variants are the tree-walking baselines, B14/B14c the staged engine. *)
+(* Rows name the engine they measure: B1/B2 and their instrumented
+   variants are the tree-walking baselines, B14/B14a/B14c the staged
+   engine every device runs by default. *)
 let make_device ?engine () =
   let report = Compile.compile_exn ~quirks:Quirks.none Programs.basic_router.Programs.program in
   let d = Device.create ?engine report.Compile.pipeline in
@@ -255,6 +255,26 @@ let b14c_device_forward_staged_coverage =
   Test.make ~name:"B14c device: forward one packet, staged + coverage taps"
     (Staged.stage (fun () ->
          ignore (Device.inject d ~source:(Device.External 0) routed_probe)))
+
+(* B14a: exact minor-heap allocation of one staged device forward,
+   Gc-counted like B6a and B13a (bechamel's OLS reports ~0 words for
+   B14); its absolute words gate is in [absolute_gates]. *)
+let b14a_rows () =
+  let d = make_device ~engine:`Staged () in
+  let forward () = ignore (Device.inject d ~source:(Device.External 0) routed_probe) in
+  for _ = 1 to 1_000 do
+    forward ()
+  done;
+  (* warm: span-name interning, queue rings *)
+  let n = 20_000 in
+  let t0 = Unix.gettimeofday () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    forward ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n in
+  [ ("netdebug/B14a device: staged forward minor words (Gc-counted)", Some ns, Some words) ]
 
 (* B15: B1 with the snapshot streamer's boundary check riding the packet
    path. Off-boundary, [Sampler.tick] is a single float compare; at a
@@ -591,6 +611,15 @@ let absolute_gates =
       15_000.0,
       Some 1_000.0,
       "B12b batched oracle exec" );
+    (* one per-packet record (spans): a staged forward measured 256 minor
+       words while every packet was also written to an unsampled event
+       ring and ~198 with spans alone; 230 trips if a second record
+       returns. The ns ceiling is loose — B14's ratio gates carry the
+       time signal. *)
+    ( "netdebug/B14a device: staged forward minor words (Gc-counted)",
+      20_000.0,
+      Some 230.0,
+      "B14a staged forward allocation" );
   ]
 
 (* Evaluate every gate pair; returns false on any violation. [quiet]
@@ -768,7 +797,7 @@ let opt_min a b =
 
 let run ?json ?(check_overhead = false) () =
   Format.printf "@.==== Microbenchmarks (Bechamel) ====@.@.";
-  let bench_rows = measure_once () @ b6a_rows () @ b12b_rows () in
+  let bench_rows = measure_once () @ b6a_rows () @ b12b_rows () @ b14a_rows () in
   let bench_rows =
     if check_overhead && not (check_overhead_gate ~quiet:true bench_rows) then begin
       Format.printf

@@ -366,10 +366,6 @@ let journey_cmd =
     | Target.Device.Dropped_pipeline r -> Format.printf "disposition: dropped (%s)@." r
     | Target.Device.Dropped_queue -> Format.printf "disposition: queue drop@."
     | Target.Device.Lost_in_stage s -> Format.printf "disposition: lost in %s@." s);
-    Format.printf "@.per-stage journey (internal trace):@.";
-    List.iter
-      (fun e -> Format.printf "  %a@." Trace.pp_event e)
-      (Trace.events_for_packet (Target.Device.trace h.Harness.device) id);
     Format.printf "@.span tree (virtual time, ns):@.";
     print_span_tree Format.std_formatter
       (Telemetry.Span.spans_for_packet (Target.Device.spans h.Harness.device) id);

@@ -55,13 +55,10 @@ let replicate ?(faults = false) t =
 
 let trace_health t =
   let spans = Device.spans t.device in
-  let trace = Device.trace t.device in
-  Printf.sprintf
-    "telemetry: %d spans retained, %d evicted (sampling 1/%d); %d trace events, %d dropped"
+  Printf.sprintf "telemetry: %d spans retained, %d evicted (sampling 1/%d)"
     (Telemetry.Span.count spans)
     (Telemetry.Span.dropped spans)
     (max 1 (Telemetry.Span.sampling spans))
-    (Trace.count trace) (Trace.dropped trace)
 
 let export_artifacts t ~dir =
   (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);

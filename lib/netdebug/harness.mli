@@ -48,9 +48,9 @@ val replicate : ?faults:bool -> t -> t
     only ever see it on one shard (see [Net.Fabric.replicate]). *)
 
 val trace_health : t -> string
-(** One-line telemetry health summary: spans retained/evicted, sampling
-    rate, trace events recorded/dropped. Surfaces ring-buffer eviction so
-    truncated observability data is never read as complete. *)
+(** One-line telemetry health summary: spans retained/evicted and the
+    sampling rate. Surfaces span-store eviction so truncated
+    observability data is never read as complete. *)
 
 val export_artifacts : t -> dir:string -> string list
 (** Write [trace.json] (Chrome trace_event, Perfetto-loadable),

@@ -147,6 +147,7 @@ let put_value b v =
 let get_value s pos =
   let w = get_u8 s pos in
   let v = get_u64 s pos in
+  if w < 1 || w > 64 then raise (Decode_error (Printf.sprintf "bad value width %d" w));
   Value.make ~width:w v
 
 let binop_tag (op : Ast.binop) =

@@ -69,7 +69,7 @@ type stage_state = {
   ss_hit : Counter.t option;
   ss_miss : Counter.t option;
   ss_fault_applied : Counter.t;
-  ss_enter_ns : float;  (* latency from pipeline entry to this stage, for trace stamps *)
+  ss_enter_ns : float;  (* latency from pipeline entry to this stage, for span stamps *)
   ss_latency_ns : float;
   ss_name_id : int;  (* interned span name, e.g. "stage[2]:ma:ipv4_lpm" *)
   ss_span_kind : Span.kind;
@@ -95,7 +95,6 @@ type t = {
   counters : Counter.Set.t;
   metrics : Registry.t;
   spanstore : Span.t;
-  trace : Trace.t;
   env : Env.t;
   ctx : Exec.ctx;
   cycle_ns : float;
@@ -184,14 +183,13 @@ let fault_at_staged si ss =
   fault_drop ss;
   fault_corrupt_staged si ss
 
-let create ?engine ?update_clock (pipeline : Pipeline.t) =
+let create ?(engine = `Staged) ?update_clock (pipeline : Pipeline.t) =
   let config = pipeline.Pipeline.config in
   let program = pipeline.Pipeline.program in
   let cycle_ns = Config.cycle_ns config in
   let counters = Counter.Set.create () in
   let metrics = Registry.create ~counters () in
   let spanstore = Span.create ~sampling:default_span_sampling () in
-  let trace = Trace.create () in
   let runtime = Runtime.create () in
   let env = Env.create program in
   let regs = Regstate.create program in
@@ -306,26 +304,27 @@ let create ?engine ?update_clock (pipeline : Pipeline.t) =
   let cur_sampled = ref false in
   let cur_root = ref 0 in
   let cur_end = ref 0.0 in
+  (* a match-action stage's table apply, shared by both engines: stage
+     counters plus the stage span of a sampled packet *)
+  let table_applied ss ~hit ~action =
+    Counter.incr ss.ss_seen;
+    (match (if hit then ss.ss_hit else ss.ss_miss) with
+    | Some c -> Counter.incr c
+    | None -> ());
+    if !cur_sampled then begin
+      let t0 = !cur_entry +. ss.ss_enter_ns in
+      ignore
+        (Span.add spanstore ~parent:!cur_root ~packet:!cur_id ~kind:ss.ss_span_kind
+           ~name:ss.ss_name_id ~t0 ~t1:(t0 +. ss.ss_latency_ns) ~bytes:0 ~flags:0
+           ~note:(Span.intern spanstore (if hit then action else "miss")))
+    end
+  in
   let on_table ~table ~hit ~action =
     (match !taps with Some tp -> tp.tp_table ~table ~hit ~action | None -> ());
     match Hashtbl.find_opt by_table table with
     | None -> ()
     | Some ss ->
-        Counter.incr ss.ss_seen;
-        (match (if hit then ss.ss_hit else ss.ss_miss) with
-        | Some c -> Counter.incr c
-        | None -> ());
-        Trace.record trace ~packet_id:!cur_id
-          ~time_ns:(!cur_entry +. ss.ss_enter_ns)
-          ~component:ss.ss_name
-          (if hit then action else "miss");
-        if !cur_sampled then begin
-          let t0 = !cur_entry +. ss.ss_enter_ns in
-          ignore
-            (Span.add spanstore ~parent:!cur_root ~packet:!cur_id ~kind:ss.ss_span_kind
-               ~name:ss.ss_name_id ~t0 ~t1:(t0 +. ss.ss_latency_ns) ~bytes:0 ~flags:0
-               ~note:(Span.intern spanstore (if hit then action else "miss")))
-        end;
+        table_applied ss ~hit ~action;
         if !faults_active then fault_at env ss
   in
   let prog_counters = Hashtbl.create 8 in
@@ -355,7 +354,6 @@ let create ?engine ?update_clock (pipeline : Pipeline.t) =
   in
   let hooks = { base_hooks with Exec.table_always_miss } in
   let ctx = Exec.make_ctx ~hooks ~on_count ~on_assert ~on_table ~regs ~env ~runtime () in
-  let engine = match engine with Some e -> e | None -> Compilecore.default_engine () in
   let staged =
     match engine with
     | `Tree -> None
@@ -398,21 +396,7 @@ let create ?engine ?update_clock (pipeline : Pipeline.t) =
           match stage_of_table.(id) with
           | None -> ()
           | Some ss ->
-              Counter.incr ss.ss_seen;
-              (match (if hit then ss.ss_hit else ss.ss_miss) with
-              | Some c -> Counter.incr c
-              | None -> ());
-              Trace.record trace ~packet_id:!cur_id
-                ~time_ns:(!cur_entry +. ss.ss_enter_ns)
-                ~component:ss.ss_name
-                (if hit then action else "miss");
-              if !cur_sampled then begin
-                let t0 = !cur_entry +. ss.ss_enter_ns in
-                ignore
-                  (Span.add spanstore ~parent:!cur_root ~packet:!cur_id ~kind:ss.ss_span_kind
-                     ~name:ss.ss_name_id ~t0 ~t1:(t0 +. ss.ss_latency_ns) ~bytes:0 ~flags:0
-                     ~note:(Span.intern spanstore (if hit then action else "miss")))
-              end;
+              table_applied ss ~hit ~action;
               if !faults_active then
                 match !si_box with Some si -> fault_at_staged si ss | None -> ()
         in
@@ -443,7 +427,6 @@ let create ?engine ?update_clock (pipeline : Pipeline.t) =
     counters;
     metrics;
     spanstore;
-    trace;
     env;
     ctx;
     cycle_ns;
@@ -518,7 +501,6 @@ let registers t = t.regs
 let counters t = t.counters
 let metrics t = t.metrics
 let spans t = t.spanstore
-let trace t = t.trace
 let now_ns t = t.now
 
 let set_span_sampling t n = Span.set_sampling t.spanstore n
@@ -622,10 +604,6 @@ let run_pipeline_tree t ~source ~id ~arrival ~entry_done bits =
     if !(t.faults_active) then fault_drop ps;
     let outcome = Parse.run ~hooks:t.pipeline.Pipeline.parse_hooks ctx bits in
     (match !(t.taps) with Some tp -> tp.tp_parse outcome | None -> ());
-    Trace.record t.trace ~packet_id:id
-      ~time_ns:(entry_done +. ps.ss_enter_ns)
-      ~component:ps.ss_name
-      (if outcome.Parse.accepted then "accept" else "reject");
     if !(t.cur_sampled) then begin
       let t0 = entry_done +. ps.ss_enter_ns in
       span_child t ~kind:ps.ss_span_kind ~name:ps.ss_name_id ~t0
@@ -648,9 +626,6 @@ let run_pipeline_tree t ~source ~id ~arrival ~entry_done bits =
       else begin
         let es = t.ss_egress in
         Counter.incr es.ss_seen;
-        Trace.record t.trace ~packet_id:id
-          ~time_ns:(entry_done +. es.ss_enter_ns)
-          ~component:es.ss_name "enter";
         if !(t.cur_sampled) then begin
           let t0 = entry_done +. es.ss_enter_ns in
           span_child t ~kind:es.ss_span_kind ~name:es.ss_name_id ~t0
@@ -666,9 +641,6 @@ let run_pipeline_tree t ~source ~id ~arrival ~entry_done bits =
         else begin
           let ds = t.ss_deparser in
           Counter.incr ds.ss_seen;
-          Trace.record t.trace ~packet_id:id
-            ~time_ns:(entry_done +. ds.ss_enter_ns)
-            ~component:ds.ss_name "emit";
           if !(t.cur_sampled) then begin
             let t0 = entry_done +. ds.ss_enter_ns in
             span_child t ~kind:ds.ss_span_kind ~name:ds.ss_name_id ~t0
@@ -685,11 +657,9 @@ let run_pipeline_tree t ~source ~id ~arrival ~entry_done bits =
     end
   with Lost stage ->
     Counter.incr t.c_drop_fault;
-    Trace.record t.trace ~packet_id:id ~severity:Trace.Warn ~time_ns:entry_done
-      ~component:stage "fault-drop";
     Lost_in_stage stage
 
-(* Same traversal, metrics, trace records and fault points as the tree
+(* Same traversal, metrics, spans and fault points as the tree
    path, but executing the pipeline's staged core. *)
 let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
   let si = d.sg in
@@ -707,10 +677,6 @@ let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
     (match !(t.taps) with
     | Some tp -> tp.tp_parse (Compilecore.parse_outcome si)
     | None -> ());
-    Trace.record t.trace ~packet_id:id
-      ~time_ns:(entry_done +. ps.ss_enter_ns)
-      ~component:ps.ss_name
-      (if accepted then "accept" else "reject");
     if !(t.cur_sampled) then begin
       let t0 = entry_done +. ps.ss_enter_ns in
       span_child t ~kind:ps.ss_span_kind ~name:ps.ss_name_id ~t0
@@ -732,9 +698,6 @@ let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
       else begin
         let es = t.ss_egress in
         Counter.incr es.ss_seen;
-        Trace.record t.trace ~packet_id:id
-          ~time_ns:(entry_done +. es.ss_enter_ns)
-          ~component:es.ss_name "enter";
         if !(t.cur_sampled) then begin
           let t0 = entry_done +. es.ss_enter_ns in
           span_child t ~kind:es.ss_span_kind ~name:es.ss_name_id ~t0
@@ -749,9 +712,6 @@ let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
         else begin
           let ds = t.ss_deparser in
           Counter.incr ds.ss_seen;
-          Trace.record t.trace ~packet_id:id
-            ~time_ns:(entry_done +. ds.ss_enter_ns)
-            ~component:ds.ss_name "emit";
           if !(t.cur_sampled) then begin
             let t0 = entry_done +. ds.ss_enter_ns in
             span_child t ~kind:ds.ss_span_kind ~name:ds.ss_name_id ~t0
@@ -766,8 +726,6 @@ let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
     end
   with Lost stage ->
     Counter.incr t.c_drop_fault;
-    Trace.record t.trace ~packet_id:id ~severity:Trace.Warn ~time_ns:entry_done
-      ~component:stage "fault-drop";
     Lost_in_stage stage
 
 let run_pipeline t ~source ~id ~arrival ~entry_done bits =
@@ -793,13 +751,9 @@ let inject t ~source ?at_ns bits =
   (match source with
   | External _ -> Counter.incr t.c_rx_external
   | Generator -> Counter.incr t.c_rx_generator);
-  Trace.record t.trace ~packet_id:id ~time_ns:arrival ~component:"rx"
-    (match source with External _ -> "external" | Generator -> "generator");
   ignore (Ringq.drop_leq t.rx_q arrival);
   if Ringq.is_full t.rx_q then begin
     Counter.incr t.c_drop_queue;
-    Trace.record t.trace ~packet_id:id ~severity:Trace.Warn ~time_ns:arrival ~component:"rxq"
-      "tail-drop";
     if sampled then begin
       span_child t ~kind:Span.Rx_queue ~name:t.n_rx_queue ~t0:arrival ~t1:arrival ~bytes:0
         ~flags:Span.flag_drop ~note:t.note_tail_drop;

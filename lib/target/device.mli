@@ -1,5 +1,6 @@
 (** An instantiated {!Pipeline}: runtime table state, persistent registers,
-    interface queues, counters, a bounded event trace, and a virtual clock.
+    interface queues, counters, sampled per-packet spans, and a virtual
+    clock.
 
     The clock is event-driven — there is no per-cycle ticking anywhere.
     Each packet's pipeline-exit time is computed analytically at injection:
@@ -49,10 +50,10 @@ type t
 
 val create : ?engine:P4ir.Compilecore.engine -> ?update_clock:(unit -> int64) -> Pipeline.t -> t
 (** [engine] selects the executor for the pipeline traversal (default
-    {!P4ir.Compilecore.default_engine}): [`Staged] runs the pipeline's
-    compiled closure core (quirk hooks baked in, table matchers
-    specialized), [`Tree] walks the AST as before. Timing, metrics,
-    traces, spans, taps and fault injection behave identically in both.
+    [`Staged]): [`Staged] runs the pipeline's compiled closure core
+    (quirk hooks baked in, tables on the incremental classifier),
+    [`Tree] walks the AST. Timing, metrics, spans, taps and fault
+    injection behave identically in both.
 
     Every table exports a [table/<name>/entries] gauge and a
     [table/<name>/update_ns] histogram of control-plane update latency.
@@ -85,19 +86,18 @@ val spans : t -> Telemetry.Span.t
 (** Per-packet span store. Each sampled traversal becomes a tree rooted
     at a ["packet"] span with ["rx_queue"], ["parse"],
     ["stage[i]:<name>"], ["deparse"] and ["tx[port]"] children, stamped
-    in virtual time. *)
+    in virtual time. Spans are the device's only per-packet record. *)
 
 val set_span_sampling : t -> int -> unit
 (** Record full span trees for 1-in-[n] injected packets (default
     1-in-64; the first packet after a change is always sampled). [n <= 0]
     disables spans entirely. Metrics are unaffected. *)
 
-val trace : t -> Trace.t
-
 val now_ns : t -> float
 
 val inject : t -> source:source -> ?at_ns:float -> Bitutil.Bitstring.t -> int * disposition
-(** Run one packet through the device; returns its trace id and fate.
+(** Run one packet through the device; returns its packet id (the
+    [packet] of its spans) and fate.
     [at_ns] below the current clock is clamped to it; when omitted the
     packet arrives back-to-back, i.e. the moment the pipeline can accept
     it (the clock advances, nothing queues). *)
@@ -120,7 +120,7 @@ val inject_batch :
     [reset_registers] (default false) zeroes the persistent register
     state before each packet, giving every vector the isolated-state
     semantics of a fresh device at batch speed. Results land at their
-    input index. Check taps, coverage taps, counters and traces fire
+    input index. Check taps, coverage taps, counters and spans fire
     exactly as they do for packet-at-a-time injection. *)
 
 val quiesce : t -> unit

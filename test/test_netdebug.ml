@@ -38,86 +38,88 @@ let test_wire_expr_roundtrip () =
   let decoded = Wire.decode_expr (Buffer.contents b) (ref 0) in
   check_bool "expr roundtrip" true (decoded = sample_expr)
 
+(* one sample of every [host_msg] constructor *)
+let host_samples =
+  [
+    Wire.Configure_generator
+      [
+        {
+          Wire.s_template = Bitstring.of_hex "deadbeef";
+          s_count = 100;
+          s_interval_ns = 12.5;
+          s_mutations =
+            [
+              Wire.Set_field ("ipv4", "ttl", 3L);
+              Wire.Sweep_field ("ipv4", "dst", 0x0A000000L, 7L);
+              Wire.Random_field ("udp", "src_port", 99);
+            ];
+        };
+      ];
+    Wire.Configure_checker
+      [
+        { Wire.r_name = "r1"; r_filter = Some sample_expr; r_expect = sample_expr };
+        { Wire.r_name = "r2"; r_filter = None; r_expect = Ast.Valid "eth" };
+      ];
+    Wire.Start_generator;
+    Wire.Read_register ("kv_store");
+    Wire.Read_checker;
+    Wire.Read_status;
+    Wire.Read_stage_counters;
+    Wire.Clear_test_state;
+  ]
+
 let test_wire_host_roundtrip () =
-  let msgs =
-    [
-      Wire.Configure_generator
-        [
-          {
-            Wire.s_template = Bitstring.of_hex "deadbeef";
-            s_count = 100;
-            s_interval_ns = 12.5;
-            s_mutations =
-              [
-                Wire.Set_field ("ipv4", "ttl", 3L);
-                Wire.Sweep_field ("ipv4", "dst", 0x0A000000L, 7L);
-                Wire.Random_field ("udp", "src_port", 99);
-              ];
-          };
-        ];
-      Wire.Configure_checker
-        [
-          { Wire.r_name = "r1"; r_filter = Some sample_expr; r_expect = sample_expr };
-          { Wire.r_name = "r2"; r_filter = None; r_expect = Ast.Valid "eth" };
-        ];
-      Wire.Start_generator;
-      Wire.Read_register ("kv_store");
-      Wire.Read_checker;
-      Wire.Read_status;
-      Wire.Read_stage_counters;
-      Wire.Clear_test_state;
-    ]
-  in
   List.iter
     (fun m ->
       match Wire.decode_host (Wire.encode_host m) with
       | Ok m' -> check_bool "host roundtrip" true (m = m')
       | Error e -> Alcotest.fail e)
-    msgs
+    host_samples
+
+(* one sample of every [dev_msg] constructor *)
+let dev_samples =
+  [
+    Wire.Ack;
+    Wire.Error_msg "boom";
+    Wire.Checker_report
+      {
+        Wire.cs_total_seen = 42;
+        cs_rules = [ { Wire.rs_name = "r"; rs_matched = 10; rs_passed = 9; rs_failed = 1 } ];
+        cs_captures =
+          [
+            {
+              Wire.cap_rule = "r";
+              cap_port = 3;
+              cap_time_ns = 123.0;
+              cap_bits = Bitstring.of_hex "aa55";
+            };
+          ];
+        cs_pps = 1e6;
+        cs_gbps = 9.5;
+        cs_lat_mean_ns = 140.0;
+        cs_lat_p50_ns = 130.0;
+        cs_lat_p99_ns = 200.0;
+      };
+    Wire.Status_report
+      {
+        Wire.ss_time_ns = 5.0;
+        ss_packets_in = 10L;
+        ss_packets_out = 9L;
+        ss_queue_drops = 1L;
+        ss_pipeline_drops = 0L;
+        ss_queue_depth = 2;
+      };
+    Wire.Stage_counters [ ("stage/parser/seen", 7L) ];
+    Wire.Register_dump [ (3, 0xAAL); (200, 0xBBL) ];
+  ]
 
 let test_wire_dev_roundtrip () =
-  let msgs =
-    [
-      Wire.Ack;
-      Wire.Error_msg "boom";
-      Wire.Checker_report
-        {
-          Wire.cs_total_seen = 42;
-          cs_rules = [ { Wire.rs_name = "r"; rs_matched = 10; rs_passed = 9; rs_failed = 1 } ];
-          cs_captures =
-            [
-              {
-                Wire.cap_rule = "r";
-                cap_port = 3;
-                cap_time_ns = 123.0;
-                cap_bits = Bitstring.of_hex "aa55";
-              };
-            ];
-          cs_pps = 1e6;
-          cs_gbps = 9.5;
-          cs_lat_mean_ns = 140.0;
-          cs_lat_p50_ns = 130.0;
-          cs_lat_p99_ns = 200.0;
-        };
-      Wire.Status_report
-        {
-          Wire.ss_time_ns = 5.0;
-          ss_packets_in = 10L;
-          ss_packets_out = 9L;
-          ss_queue_drops = 1L;
-          ss_pipeline_drops = 0L;
-          ss_queue_depth = 2;
-        };
-      Wire.Stage_counters [ ("stage/parser/seen", 7L) ];
-      Wire.Register_dump [ (3, 0xAAL); (200, 0xBBL) ];
-    ]
-  in
   List.iter
     (fun m ->
       match Wire.decode_dev (Wire.encode_dev m) with
       | Ok m' -> check_bool "dev roundtrip" true (m = m')
       | Error e -> Alcotest.fail e)
-    msgs
+    dev_samples
 
 let test_wire_rejects_garbage () =
   (match Wire.decode_host "\xFF" with
@@ -146,6 +148,46 @@ let prop_wire_stream_roundtrip =
           && s'.Wire.s_count = stream.Wire.s_count
           && s'.Wire.s_mutations = stream.Wire.s_mutations
       | _ -> false)
+
+(* The decoders are total: byte-mutated or truncated encodings of every
+   message constructor decode to [Ok] or [Error], never an exception. The
+   mutator sees each encoding as a run of byte fields, so its boundary and
+   dictionary moves land 0 and out-of-range values on length, tag and
+   width bytes. *)
+let prop_wire_decoders_total =
+  QCheck.Test.make ~count:300 ~name:"wire decoders total under mutation"
+    QCheck.(pair int small_nat)
+    (fun (seed, cut) ->
+      let prng = Bitutil.Prng.create seed in
+      let total decode encoded =
+        let bits = Bitstring.of_string encoded in
+        let nbytes = String.length encoded in
+        let layout =
+          {
+            Fuzz.Mutate.fields =
+              Array.init nbytes (fun i ->
+                  {
+                    Fuzz.Mutate.fl_header = "msg";
+                    fl_field = string_of_int i;
+                    fl_off = 8 * i;
+                    fl_width = 8;
+                  });
+            total_bits = 8 * nbytes;
+            dict = [| 0L; 1L; 64L; 65L; 255L |];
+          }
+        in
+        let mutated = Bitstring.to_string (Fuzz.Mutate.mutate layout prng bits) in
+        let truncated = String.sub encoded 0 (cut mod (nbytes + 1)) in
+        List.for_all
+          (fun m ->
+            match decode m with
+            | Ok _ | Error _ -> true
+            | exception e ->
+                QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e))
+          [ mutated; truncated ]
+      in
+      List.for_all (fun m -> total Wire.decode_host (Wire.encode_host m)) host_samples
+      && List.for_all (fun m -> total Wire.decode_dev (Wire.encode_dev m)) dev_samples)
 
 (* ---------------- channel ---------------- *)
 
@@ -614,6 +656,7 @@ let () =
           Alcotest.test_case "dev roundtrip" `Quick test_wire_dev_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_wire_stream_roundtrip;
+          QCheck_alcotest.to_alcotest prop_wire_decoders_total;
         ] );
       ("channel", [ Alcotest.test_case "fifo" `Quick test_channel_fifo ]);
       ( "harness",

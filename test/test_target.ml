@@ -341,7 +341,7 @@ let test_generator_source_bypasses_interfaces () =
     (Counter.Set.get (Device.counters d) "rx/generator");
   check_i64 "no external rx" 0L (Counter.Set.get (Device.counters d) "rx/external")
 
-(* ---------------- stage counters and trace ---------------- *)
+(* ---------------- stage counters and spans ---------------- *)
 
 let test_stage_counters () =
   let d = build Programs.basic_router in
@@ -354,14 +354,54 @@ let test_stage_counters () =
   check_i64 "one miss" 1L (Counter.Set.get c "stage/ma:ipv4_lpm/miss");
   check_i64 "only hit reached deparser" 1L (Counter.Set.get c "stage/deparser/seen")
 
-let test_per_packet_trace () =
+(* Spans are the device's per-packet record: at 1/1 sampling every packet
+   gets exactly one root whose children walk the pipeline in order. *)
+let test_per_packet_spans () =
+  let module Span = Telemetry.Span in
   let d = build Programs.basic_router in
-  let id, _ = Device.inject d ~source:(Device.External 0) (udp 0x0A000001L) in
-  let events = Trace.events_for_packet (Device.trace d) id in
-  let components = List.map (fun e -> e.Trace.component) events in
-  check_bool "rx traced" true (List.mem "rx" components);
-  check_bool "parser traced" true (List.mem "parser" components);
-  check_bool "lpm traced" true (List.mem "ma:ipv4_lpm" components)
+  Device.set_span_sampling d 1;
+  let root_and_children id =
+    match
+      List.partition
+        (fun sp -> sp.Span.sp_parent = Span.no_parent)
+        (Span.spans_for_packet (Device.spans d) id)
+    with
+    | [ root ], children ->
+        check_bool "root is a packet span" true (root.Span.sp_kind = Span.Packet);
+        List.iter
+          (fun sp -> check_int "child of the root" root.Span.sp_id sp.Span.sp_parent)
+          children;
+        (root, List.map (fun sp -> sp.Span.sp_name) children)
+    | roots, _ -> Alcotest.failf "packet %d: %d root spans" id (List.length roots)
+  in
+  let starts pre n = String.length n >= String.length pre && String.sub n 0 (String.length pre) = pre in
+  let ids =
+    List.map
+      (fun dst -> fst (Device.inject d ~source:(Device.External 0) (udp dst)))
+      [ 0x0A000001L; 0x0A010203L ]
+  in
+  List.iter
+    (fun id ->
+      let root, names = root_and_children id in
+      check_bool "forwarded root has no drop" false root.Span.sp_drop;
+      List.iter
+        (fun n -> check_bool n true (List.mem n names))
+        [ "rx_queue"; "parse"; "deparse" ];
+      check_bool "lpm stage span" true
+        (List.exists
+           (fun n -> starts "stage[" n && Filename.check_suffix n ":ma:ipv4_lpm")
+           names);
+      check_bool "tx span" true (List.exists (starts "tx[") names))
+    ids;
+  Device.inject_fault d ~stage:"ma:ipv4_lpm" Fault.Drop_at_stage;
+  let id, disp = Device.inject d ~source:(Device.External 0) (udp 0x0A000001L) in
+  (match disp with
+  | Device.Lost_in_stage _ -> ()
+  | _ -> Alcotest.fail "fault should swallow the packet");
+  let root, names = root_and_children id in
+  check_bool "faulted root flagged" true root.Span.sp_fault;
+  check_bool "faulted root dropped" true root.Span.sp_drop;
+  check_bool "no tx after the fault" false (List.exists (starts "tx[") names)
 
 (* ---------------- fault injection ---------------- *)
 
@@ -490,7 +530,7 @@ let () =
       ( "taps",
         [
           Alcotest.test_case "stage counters" `Quick test_stage_counters;
-          Alcotest.test_case "per-packet trace" `Quick test_per_packet_trace;
+          Alcotest.test_case "per-packet spans" `Quick test_per_packet_spans;
         ] );
       ( "faults",
         [
