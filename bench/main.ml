@@ -7,9 +7,14 @@
      dune exec bench/main.exe -- micro --json FILE   — also write microbench
                                                        results as JSON
      dune exec bench/main.exe -- micro --check-overhead
-                                                     — fail if full span
-                                                       sampling (B11) costs
-                                                       >10% over B1
+                                                     — fail if an
+                                                       instrumentation,
+                                                       speedup, allocation
+                                                       or scaling gate
+                                                       trips (e.g. full
+                                                       span sampling, B11,
+                                                       costs more than
+                                                       2200 ns over B1)
 *)
 
 let () =

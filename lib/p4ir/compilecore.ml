@@ -1051,8 +1051,8 @@ let deparse st =
   Builder.add_sub b st.pkt ~off:st.payload_off ~len:(Bitstring.length st.pkt - st.payload_off);
   Builder.contents b
 
-(* Fault injection against the staged state: mirrors [Device.corrupt],
-   which XORs a mask into a field through [Env.get_field]/[set_field]. *)
+(* Fault injection against the staged state: the device simulator's
+   corrupt-field fault, XORing a mask into a valid header's field. *)
 let corrupt_field st h f mask =
   let lay = st.cp.lay in
   match header_id lay h with

@@ -25,9 +25,10 @@
     {!Typecheck}, so the engines agree on every well-typed program. *)
 
 type engine = [ `Tree | `Staged ]
-(** The executor a caller selects: [`Staged] runs this module's compiled
-    closures and is every caller's default; [`Tree] walks the AST
-    ({!Parse}/{!Exec}/{!Deparse}) and serves as the spec oracle. *)
+(** The executor an {!Interp} caller selects: [`Staged] runs this
+    module's compiled closures and is the default; [`Tree] walks the AST
+    ({!Parse}/{!Exec}/{!Deparse}) and serves only as the spec oracle.
+    The device simulator always runs the staged core. *)
 
 type t
 (** A compiled program: immutable, shareable across instances (and across

@@ -1,9 +1,4 @@
 module Ast = P4ir.Ast
-module Env = P4ir.Env
-module Exec = P4ir.Exec
-module Parse = P4ir.Parse
-module Deparse = P4ir.Deparse
-module Value = P4ir.Value
 module Runtime = P4ir.Runtime
 module Regstate = P4ir.Regstate
 module Stdmeta = P4ir.Stdmeta
@@ -77,26 +72,15 @@ type stage_state = {
   mutable ss_fault_hits : int;
 }
 
-(* The staged execution state: the pipeline's program compiled to closures
-   (shared across devices via the pipeline's lazy core) plus this device's
-   instance of it. [sg_stage_of_table] maps the core's dense table ids to
-   the match-action stages so the per-apply callback does no hashing. *)
-type dstaged = {
-  sg : Compilecore.inst;
-  sg_core : Compilecore.t;
-}
-
 type t = {
   pipeline : Pipeline.t;
   config : Config.t;
-  staged : dstaged option;
+  si : Compilecore.inst;  (* the pipeline's staged core, bound to this device *)
   runtime : Runtime.t;
   regs : Regstate.t;
   counters : Counter.Set.t;
   metrics : Registry.t;
   spanstore : Span.t;
-  env : Env.t;
-  ctx : Exec.ctx;
   cycle_ns : float;
   latency_ns : float;
   stages : stage_state array;
@@ -139,12 +123,7 @@ type t = {
   note_enter : int;
   note_emit : int;
   note_tail_drop : int;
-  prog_counters : (string, Counter.t) Hashtbl.t;
 }
-
-let corrupt env h f mask =
-  let cur = Env.get_field env h f in
-  Env.set_field env h f (Value.logxor cur (Value.make ~width:(Value.width cur) mask))
 
 (* Drop-class faults at stage entry; raising [Lost] unwinds the traversal. *)
 let fault_drop ss =
@@ -160,30 +139,19 @@ let fault_drop ss =
         raise (Lost ss.ss_name)
       end
 
-let fault_corrupt env ss =
-  match ss.ss_fault with
-  | Some (Fault.Corrupt_field (h, f, mask)) ->
-      Counter.incr ss.ss_fault_applied;
-      corrupt env h f mask
-  | _ -> ()
-
-let fault_at env ss =
-  fault_drop ss;
-  fault_corrupt env ss
-
-(* Staged counterparts: the corrupt fault mutates the slot array directly. *)
-let fault_corrupt_staged si ss =
+(* The corrupt fault XORs its mask into the slot array directly. *)
+let fault_corrupt si ss =
   match ss.ss_fault with
   | Some (Fault.Corrupt_field (h, f, mask)) ->
       Counter.incr ss.ss_fault_applied;
       Compilecore.corrupt_field si h f mask
   | _ -> ()
 
-let fault_at_staged si ss =
+let fault_at si ss =
   fault_drop ss;
-  fault_corrupt_staged si ss
+  fault_corrupt si ss
 
-let create ?(engine = `Staged) ?update_clock (pipeline : Pipeline.t) =
+let create ?update_clock (pipeline : Pipeline.t) =
   let config = pipeline.Pipeline.config in
   let program = pipeline.Pipeline.program in
   let cycle_ns = Config.cycle_ns config in
@@ -191,7 +159,6 @@ let create ?(engine = `Staged) ?update_clock (pipeline : Pipeline.t) =
   let metrics = Registry.create ~counters () in
   let spanstore = Span.create ~sampling:default_span_sampling () in
   let runtime = Runtime.create () in
-  let env = Env.create program in
   let regs = Regstate.create program in
   let offset = ref 0 in
   let stages =
@@ -304,37 +271,22 @@ let create ?(engine = `Staged) ?update_clock (pipeline : Pipeline.t) =
   let cur_sampled = ref false in
   let cur_root = ref 0 in
   let cur_end = ref 0.0 in
-  (* a match-action stage's table apply, shared by both engines: stage
-     counters plus the stage span of a sampled packet *)
-  let table_applied ss ~hit ~action =
-    Counter.incr ss.ss_seen;
-    (match (if hit then ss.ss_hit else ss.ss_miss) with
-    | Some c -> Counter.incr c
-    | None -> ());
-    if !cur_sampled then begin
-      let t0 = !cur_entry +. ss.ss_enter_ns in
-      ignore
-        (Span.add spanstore ~parent:!cur_root ~packet:!cur_id ~kind:ss.ss_span_kind
-           ~name:ss.ss_name_id ~t0 ~t1:(t0 +. ss.ss_latency_ns) ~bytes:0 ~flags:0
-           ~note:(Span.intern spanstore (if hit then action else "miss")))
-    end
+  let core = Lazy.force pipeline.Pipeline.staged in
+  (* the core's dense table ids mapped to match-action stages, so the
+     per-apply callback does no hashing *)
+  let stage_of_table =
+    Array.init (Compilecore.n_tables core) (fun i ->
+        Hashtbl.find_opt by_table (Compilecore.table_name core i))
   in
-  let on_table ~table ~hit ~action =
-    (match !taps with Some tp -> tp.tp_table ~table ~hit ~action | None -> ());
-    match Hashtbl.find_opt by_table table with
-    | None -> ()
-    | Some ss ->
-        table_applied ss ~hit ~action;
-        if !faults_active then fault_at env ss
-  in
-  let prog_counters = Hashtbl.create 8 in
-  let on_count name =
+  (* per-id program counter cells, resolved on first increment *)
+  let prog_counters = Array.make (max 1 (Compilecore.n_counters core)) None in
+  let on_count id =
     let c =
-      match Hashtbl.find_opt prog_counters name with
+      match prog_counters.(id) with
       | Some c -> c
       | None ->
-          let c = Counter.Set.find counters ("prog/" ^ name) in
-          Hashtbl.add prog_counters name c;
+          let c = Counter.Set.find counters ("prog/" ^ Compilecore.counter_name core id) in
+          prog_counters.(id) <- Some c;
           c
     in
     Counter.incr c
@@ -342,71 +294,47 @@ let create ?(engine = `Staged) ?update_clock (pipeline : Pipeline.t) =
   let c_assert_failed =
     Registry.counter metrics ~help:"program assertions that evaluated false" "assert/failed"
   in
-  let on_assert ok _msg = if not ok then Counter.incr c_assert_failed in
-  let base_hooks = pipeline.Pipeline.exec_hooks in
+  let on_assert ok _id = if not ok then Counter.incr c_assert_failed in
+  (* tied after [instantiate] so the table fault path can reach the
+     instance's own slots *)
+  let si_box = ref None in
+  (* a match-action stage's table apply: stage counters, the stage span of
+     a sampled packet, then the stage's fault *)
+  let on_table id hit action =
+    (match !taps with
+    | Some tp -> tp.tp_table ~table:(Compilecore.table_name core id) ~hit ~action
+    | None -> ());
+    match stage_of_table.(id) with
+    | None -> ()
+    | Some ss ->
+        Counter.incr ss.ss_seen;
+        (match (if hit then ss.ss_hit else ss.ss_miss) with
+        | Some c -> Counter.incr c
+        | None -> ());
+        if !cur_sampled then begin
+          let t0 = !cur_entry +. ss.ss_enter_ns in
+          ignore
+            (Span.add spanstore ~parent:!cur_root ~packet:!cur_id ~kind:ss.ss_span_kind
+               ~name:ss.ss_name_id ~t0 ~t1:(t0 +. ss.ss_latency_ns) ~bytes:0 ~flags:0
+               ~note:(Span.intern spanstore (if hit then action else "miss")))
+        end;
+        if !faults_active then
+          match !si_box with Some si -> fault_at si ss | None -> ()
+  in
+  let base_miss = pipeline.Pipeline.exec_hooks.P4ir.Exec.table_always_miss in
   let table_always_miss tbl =
-    base_hooks.Exec.table_always_miss tbl
+    base_miss tbl
     || !faults_active
        &&
        match Hashtbl.find_opt by_table tbl with
        | Some { ss_fault = Some Fault.Stuck_miss; _ } -> true
        | _ -> false
   in
-  let hooks = { base_hooks with Exec.table_always_miss } in
-  let ctx = Exec.make_ctx ~hooks ~on_count ~on_assert ~on_table ~regs ~env ~runtime () in
-  let staged =
-    match engine with
-    | `Tree -> None
-    | `Staged ->
-        let core = Lazy.force pipeline.Pipeline.staged in
-        let nt = Compilecore.n_tables core in
-        let stage_of_table =
-          Array.init nt (fun i -> Hashtbl.find_opt by_table (Compilecore.table_name core i))
-        in
-        (* per-id counter cells, resolved on first increment like the
-           string-keyed path above *)
-        let id_counters = Array.make (max 1 (Compilecore.n_counters core)) None in
-        let sg_count id =
-          let c =
-            match id_counters.(id) with
-            | Some c -> c
-            | None ->
-                let name = Compilecore.counter_name core id in
-                let c =
-                  match Hashtbl.find_opt prog_counters name with
-                  | Some c -> c
-                  | None ->
-                      let c = Counter.Set.find counters ("prog/" ^ name) in
-                      Hashtbl.add prog_counters name c;
-                      c
-                in
-                id_counters.(id) <- Some c;
-                c
-          in
-          Counter.incr c
-        in
-        let sg_assert ok _id = if not ok then Counter.incr c_assert_failed in
-        (* tied after [instantiate] so the fault path can reach the
-           instance's own state *)
-        let si_box = ref None in
-        let sg_table id hit action =
-          (match !taps with
-          | Some tp -> tp.tp_table ~table:(Compilecore.table_name core id) ~hit ~action
-          | None -> ());
-          match stage_of_table.(id) with
-          | None -> ()
-          | Some ss ->
-              table_applied ss ~hit ~action;
-              if !faults_active then
-                match !si_box with Some si -> fault_at_staged si ss | None -> ()
-        in
-        let si =
-          Compilecore.instantiate ~on_count:sg_count ~on_assert:sg_assert ~on_table:sg_table
-            ~table_always_miss ~regs core ~runtime
-        in
-        si_box := Some si;
-        Some { sg = si; sg_core = core }
+  let si =
+    Compilecore.instantiate ~on_count ~on_assert ~on_table ~table_always_miss ~regs core
+      ~runtime
   in
+  si_box := Some si;
   let rx_q = Ringq.create config.Config.rx_queue_packets in
   let tx_q = Array.init config.Config.ports (fun _ -> Ringq.create config.Config.tx_queue_packets) in
   Registry.gauge metrics ~help:"packets buffered in the input queue" "rxq/depth" (fun () ->
@@ -421,14 +349,12 @@ let create ?(engine = `Staged) ?update_clock (pipeline : Pipeline.t) =
   {
     pipeline;
     config;
-    staged;
+    si;
     runtime;
     regs;
     counters;
     metrics;
     spanstore;
-    env;
-    ctx;
     cycle_ns;
     latency_ns = float_of_int (Pipeline.total_latency_cycles pipeline) *. cycle_ns;
     stages;
@@ -491,7 +417,6 @@ let create ?(engine = `Staged) ?update_clock (pipeline : Pipeline.t) =
     note_enter = Span.intern spanstore "enter";
     note_emit = Span.intern spanstore "emit";
     note_tail_drop = Span.intern spanstore "tail-drop";
-    prog_counters;
   }
 
 let pipeline t = t.pipeline
@@ -511,9 +436,7 @@ let set_taps t tp =
   t.taps := tp;
   (* the parse tap consumes [states_visited]; only track it when someone
      is listening *)
-  match t.staged with
-  | Some d -> Compilecore.set_track_states d.sg (Option.is_some tp)
-  | None -> ()
+  Compilecore.set_track_states t.si (Option.is_some tp)
 
 let set_port_broken t port broken =
   if port < 0 || port >= t.config.Config.ports then
@@ -590,79 +513,10 @@ let emit t ~source ~arrival ~out_time ~port bits =
   end;
   Emitted out
 
-let run_pipeline_tree t ~source ~id ~arrival ~entry_done bits =
-  let env = t.env and ctx = t.ctx in
-  let program = t.pipeline.Pipeline.program in
-  Env.reset env;
-  Env.set_std env Ast.Ingress_port
-    (Value.of_int ~width:9 (match source with External p -> p | Generator -> generator_port));
-  t.cur_id := id;
-  t.cur_entry := entry_done;
-  try
-    let ps = t.ss_parser in
-    Counter.incr ps.ss_seen;
-    if !(t.faults_active) then fault_drop ps;
-    let outcome = Parse.run ~hooks:t.pipeline.Pipeline.parse_hooks ctx bits in
-    (match !(t.taps) with Some tp -> tp.tp_parse outcome | None -> ());
-    if !(t.cur_sampled) then begin
-      let t0 = entry_done +. ps.ss_enter_ns in
-      span_child t ~kind:ps.ss_span_kind ~name:ps.ss_name_id ~t0
-        ~t1:(t0 +. ps.ss_latency_ns) ~bytes:0
-        ~flags:(if outcome.Parse.accepted then 0 else Span.flag_drop)
-        ~note:(if outcome.Parse.accepted then t.note_accept else t.note_reject)
-    end;
-    if !(t.faults_active) then fault_corrupt env ps;
-    if not outcome.Parse.accepted then begin
-      Counter.incr t.c_drop_pipeline;
-      Dropped_pipeline ("parser:" ^ Stdmeta.error_name outcome.Parse.error)
-    end
-    else begin
-      Exec.set_phase ctx Exec.Ingress;
-      Exec.run_stmts ctx program.Ast.p_ingress;
-      if Env.dropped env then begin
-        Counter.incr t.c_drop_pipeline;
-        Dropped_pipeline "ingress"
-      end
-      else begin
-        let es = t.ss_egress in
-        Counter.incr es.ss_seen;
-        if !(t.cur_sampled) then begin
-          let t0 = entry_done +. es.ss_enter_ns in
-          span_child t ~kind:es.ss_span_kind ~name:es.ss_name_id ~t0
-            ~t1:(t0 +. es.ss_latency_ns) ~bytes:0 ~flags:0 ~note:t.note_enter
-        end;
-        if !(t.faults_active) then fault_at env es;
-        Exec.set_phase ctx Exec.Egress;
-        Exec.run_stmts ctx program.Ast.p_egress;
-        if Env.dropped env then begin
-          Counter.incr t.c_drop_pipeline;
-          Dropped_pipeline "egress"
-        end
-        else begin
-          let ds = t.ss_deparser in
-          Counter.incr ds.ss_seen;
-          if !(t.cur_sampled) then begin
-            let t0 = entry_done +. ds.ss_enter_ns in
-            span_child t ~kind:ds.ss_span_kind ~name:ds.ss_name_id ~t0
-              ~t1:(t0 +. ds.ss_latency_ns) ~bytes:0 ~flags:0 ~note:t.note_emit
-          end;
-          if !(t.faults_active) then fault_at env ds;
-          let out_bits =
-            Deparse.run ~update_ipv4_checksum:t.pipeline.Pipeline.update_ipv4_checksum env
-          in
-          let port = Value.to_int (Env.get_std env Ast.Egress_spec) in
-          emit t ~source ~arrival ~out_time:(entry_done +. t.latency_ns) ~port out_bits
-        end
-      end
-    end
-  with Lost stage ->
-    Counter.incr t.c_drop_fault;
-    Lost_in_stage stage
-
-(* Same traversal, metrics, spans and fault points as the tree
-   path, but executing the pipeline's staged core. *)
-let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
-  let si = d.sg in
+(* One traversal of the pipeline's staged core: stage counters, spans
+   and fault points at each stage boundary, table stages via [on_table]. *)
+let run_pipeline t ~source ~id ~arrival ~entry_done bits =
+  let si = t.si in
   Compilecore.reset si;
   Compilecore.set_ingress_port si
     (match source with External p -> p | Generator -> generator_port);
@@ -684,7 +538,7 @@ let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
         ~flags:(if accepted then 0 else Span.flag_drop)
         ~note:(if accepted then t.note_accept else t.note_reject)
     end;
-    if !(t.faults_active) then fault_corrupt_staged si ps;
+    if !(t.faults_active) then fault_corrupt si ps;
     if not accepted then begin
       Counter.incr t.c_drop_pipeline;
       Dropped_pipeline ("parser:" ^ Stdmeta.error_name (Compilecore.parse_error si))
@@ -703,7 +557,7 @@ let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
           span_child t ~kind:es.ss_span_kind ~name:es.ss_name_id ~t0
             ~t1:(t0 +. es.ss_latency_ns) ~bytes:0 ~flags:0 ~note:t.note_enter
         end;
-        if !(t.faults_active) then fault_at_staged si es;
+        if !(t.faults_active) then fault_at si es;
         Compilecore.run_egress si;
         if Compilecore.dropped si then begin
           Counter.incr t.c_drop_pipeline;
@@ -717,7 +571,7 @@ let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
             span_child t ~kind:ds.ss_span_kind ~name:ds.ss_name_id ~t0
               ~t1:(t0 +. ds.ss_latency_ns) ~bytes:0 ~flags:0 ~note:t.note_emit
           end;
-          if !(t.faults_active) then fault_at_staged si ds;
+          if !(t.faults_active) then fault_at si ds;
           let out_bits = Compilecore.deparse si in
           let port = Compilecore.egress_port si in
           emit t ~source ~arrival ~out_time:(entry_done +. t.latency_ns) ~port out_bits
@@ -727,11 +581,6 @@ let run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits =
   with Lost stage ->
     Counter.incr t.c_drop_fault;
     Lost_in_stage stage
-
-let run_pipeline t ~source ~id ~arrival ~entry_done bits =
-  match t.staged with
-  | Some d -> run_pipeline_staged t d ~source ~id ~arrival ~entry_done bits
-  | None -> run_pipeline_tree t ~source ~id ~arrival ~entry_done bits
 
 let inject t ~source ?at_ns bits =
   let arrival =

@@ -48,12 +48,10 @@ type status = {
 
 type t
 
-val create : ?engine:P4ir.Compilecore.engine -> ?update_clock:(unit -> int64) -> Pipeline.t -> t
-(** [engine] selects the executor for the pipeline traversal (default
-    [`Staged]): [`Staged] runs the pipeline's compiled closure core
-    (quirk hooks baked in, tables on the incremental classifier),
-    [`Tree] walks the AST. Timing, metrics, spans, taps and fault
-    injection behave identically in both.
+val create : ?update_clock:(unit -> int64) -> Pipeline.t -> t
+(** The device executes the pipeline's staged core ([Pipeline.t.staged]:
+    quirk hooks baked in, tables on the incremental classifier); the
+    tree-walking {!P4ir.Interp} stays the spec it is checked against.
 
     Every table exports a [table/<name>/entries] gauge and a
     [table/<name>/update_ns] histogram of control-plane update latency.

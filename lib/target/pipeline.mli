@@ -28,8 +28,8 @@ type t = {
   resources : Resource.t;  (** whole-design total, including overheads *)
   staged : P4ir.Compilecore.t Lazy.t;
       (** the program staged to closures under this pipeline's quirk hooks
-          — forced on first use by a staged-engine {!Device}, shared by
-          every device instantiated from this pipeline *)
+          — the {!Device}'s only executor, forced by the first device
+          instantiated from this pipeline and shared by all of them *)
 }
 
 val make :

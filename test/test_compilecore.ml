@@ -1,8 +1,9 @@
 (* Differential tests for the staged closure engine (P4ir.Compilecore):
    staged vs tree observations over the whole program library, fuzz-driven
    equivalence at 1 and 4 domains, counter-ordering pins, matcher
-   specialization corner cases, and device-level parity including quirks
-   and injected faults. *)
+   specialization corner cases, and the staged device checked against a
+   tree-module reference walk of its pipeline, quirks, registers and
+   injected faults included. *)
 
 module Bitstring = Bitutil.Bitstring
 module Prng = Bitutil.Prng
@@ -12,6 +13,9 @@ module Entry = P4ir.Entry
 module Runtime = P4ir.Runtime
 module Regstate = P4ir.Regstate
 module Parse = P4ir.Parse
+module Env = P4ir.Env
+module Exec = P4ir.Exec
+module Deparse = P4ir.Deparse
 module Interp = P4ir.Interp
 module Programs = P4ir.Programs
 module Dsl = P4ir.Dsl
@@ -20,6 +24,7 @@ module Pool = Par.Pool
 module Quirks = Sdnet.Quirks
 module Compile = Sdnet.Compile
 module Device = Target.Device
+module Pipeline = Target.Pipeline
 module Fault = Target.Fault
 module P = Packet
 module Eth = Packet.Eth
@@ -433,43 +438,155 @@ let test_fuzz_differential_par () =
     (fun i ok -> if not ok then Alcotest.failf "jobs=4 case %d diverged" i)
     results
 
-(* ---------------- device parity: tree vs staged pipelines ---------------- *)
+(* ---------------- device parity: staged device vs reference walk ---------------- *)
 
-let build_pair ?(quirks = Quirks.default) (b : Programs.bundle) =
-  let report = Compile.compile_exn ~quirks b.Programs.program in
-  let mk engine =
-    let d = Device.create ~engine report.Compile.pipeline in
-    (match
-       Runtime.install_all b.Programs.program (Device.runtime d) b.Programs.entries
-     with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail e);
-    d
+(* A packet's fate at the device's check point, as the reference computes
+   it: emitted on a port, dropped by program semantics, or swallowed by an
+   injected fault. *)
+type fate = Out of int * Bitstring.t | Drop of string | Lost of string
+
+exception Swallowed of string
+
+(* The reference the staged device is checked against: a walk of the
+   pipeline's program through the tree modules under the pipeline's own
+   quirk hooks, carrying the device's fault model at the same points —
+   drop-class faults on stage entry (entries counted across packets until
+   the fault is replaced or cleared), [Corrupt_field] right after a
+   table's apply callback and on the other stages after entry or parse,
+   [Stuck_miss] through [table_always_miss]. Registers persist across
+   packets, as on the device. *)
+type reference = {
+  r_pipeline : Pipeline.t;
+  r_runtime : Runtime.t;
+  r_regs : Regstate.t;
+  mutable r_fault : (string * Fault.t) option;
+  mutable r_entries : int;
+}
+
+let reference_walk r ~port bits =
+  let p = r.r_pipeline in
+  let program = p.Pipeline.program in
+  let fault_at stage =
+    match r.r_fault with Some (s, f) when String.equal s stage -> Some f | _ -> None
   in
-  (mk `Tree, mk `Staged)
+  let stage_of_table tbl =
+    List.find_map
+      (fun (s : Pipeline.stage) ->
+        match s.Pipeline.s_kind with
+        | Pipeline.Match_action t when String.equal t tbl -> Some s.Pipeline.s_name
+        | _ -> None)
+      p.Pipeline.stages
+  in
+  let env = Env.create program in
+  let enter stage =
+    match fault_at stage with
+    | Some Fault.Drop_at_stage -> raise (Swallowed stage)
+    | Some (Fault.Intermittent_drop n) ->
+        r.r_entries <- r.r_entries + 1;
+        if n > 0 && r.r_entries mod n = 0 then raise (Swallowed stage)
+    | _ -> ()
+  in
+  let corrupt stage =
+    match fault_at stage with
+    | Some (Fault.Corrupt_field (h, f, mask)) when Env.is_valid env h ->
+        let cur = Env.get_field env h f in
+        Env.set_field env h f (Value.logxor cur (Value.make ~width:(Value.width cur) mask))
+    | _ -> ()
+  in
+  let base = p.Pipeline.exec_hooks in
+  let table_always_miss tbl =
+    base.Exec.table_always_miss tbl
+    ||
+    match Option.bind (stage_of_table tbl) fault_at with
+    | Some Fault.Stuck_miss -> true
+    | _ -> false
+  in
+  let on_table ~table ~hit:_ ~action:_ =
+    Option.iter
+      (fun stage ->
+        enter stage;
+        corrupt stage)
+      (stage_of_table table)
+  in
+  let ctx =
+    Exec.make_ctx ~hooks:{ base with Exec.table_always_miss } ~on_table ~regs:r.r_regs ~env
+      ~runtime:r.r_runtime ()
+  in
+  Env.set_std env Ast.Ingress_port (Value.of_int ~width:9 port);
+  try
+    enter "parser";
+    let outcome = Parse.run ~hooks:p.Pipeline.parse_hooks ctx bits in
+    corrupt "parser";
+    if not outcome.Parse.accepted then
+      Drop ("parser:" ^ P4ir.Stdmeta.error_name outcome.Parse.error)
+    else begin
+      Exec.set_phase ctx Exec.Ingress;
+      Exec.run_stmts ctx program.Ast.p_ingress;
+      if Env.dropped env then Drop "ingress"
+      else begin
+        enter "egress";
+        corrupt "egress";
+        Exec.set_phase ctx Exec.Egress;
+        Exec.run_stmts ctx program.Ast.p_egress;
+        if Env.dropped env then Drop "egress"
+        else begin
+          enter "deparser";
+          corrupt "deparser";
+          let out = Deparse.run ~update_ipv4_checksum:p.Pipeline.update_ipv4_checksum env in
+          Out (Value.to_int (Env.get_std env Ast.Egress_spec), out)
+        end
+      end
+    end
+  with Swallowed stage -> Lost stage
 
-let show_disp = function
-  | Device.Emitted o ->
-      Printf.sprintf "Emitted(port=%d in=%.1f out=%.1f wire=%.1f %s)" o.Device.o_port
-        o.Device.o_in_time_ns o.Device.o_out_time_ns o.Device.o_wire_time_ns
-        (Bitstring.to_hex o.Device.o_bits)
-  | Device.Dropped_pipeline r -> Printf.sprintf "Dropped_pipeline(%s)" r
-  | Device.Dropped_queue -> "Dropped_queue"
-  | Device.Lost_in_stage s -> Printf.sprintf "Lost_in_stage(%s)" s
+let install (b : Programs.bundle) rt =
+  match Runtime.install_all b.Programs.program rt b.Programs.entries with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
 
-let disp_equal a b =
+(* A staged device and its reference, each with its own control plane
+   and register store. *)
+let build_pair ?(quirks = Quirks.default) (b : Programs.bundle) =
+  let pipeline = (Compile.compile_exn ~quirks b.Programs.program).Compile.pipeline in
+  let d = Device.create pipeline in
+  install b (Device.runtime d);
+  let r_runtime = Runtime.create () in
+  install b r_runtime;
+  ( d,
+    {
+      r_pipeline = pipeline;
+      r_runtime;
+      r_regs = Regstate.create pipeline.Pipeline.program;
+      r_fault = None;
+      r_entries = 0;
+    } )
+
+let inject_fault (d, r) ~stage fault =
+  Device.inject_fault d ~stage fault;
+  r.r_fault <- Some (stage, fault);
+  r.r_entries <- 0
+
+let clear_faults (d, r) =
+  Device.clear_faults d;
+  r.r_fault <- None;
+  r.r_entries <- 0
+
+let fate_of_disp = function
+  | Device.Emitted o -> Out (o.Device.o_port, o.Device.o_bits)
+  | Device.Dropped_pipeline reason -> Drop reason
+  | Device.Lost_in_stage stage -> Lost stage
+  | Device.Dropped_queue -> Alcotest.fail "probe tail-dropped at the input queue"
+
+let fate_equal a b =
   match (a, b) with
-  | Device.Emitted oa, Device.Emitted ob ->
-      oa.Device.o_port = ob.Device.o_port
-      && Bitstring.equal oa.Device.o_bits ob.Device.o_bits
-      && oa.Device.o_source = ob.Device.o_source
-      && oa.Device.o_in_time_ns = ob.Device.o_in_time_ns
-      && oa.Device.o_out_time_ns = ob.Device.o_out_time_ns
-      && oa.Device.o_wire_time_ns = ob.Device.o_wire_time_ns
-  | Device.Dropped_pipeline ra, Device.Dropped_pipeline rb -> String.equal ra rb
-  | Device.Dropped_queue, Device.Dropped_queue -> true
-  | Device.Lost_in_stage sa, Device.Lost_in_stage sb -> String.equal sa sb
+  | Out (pa, ba), Out (pb, bb) -> pa = pb && Bitstring.equal ba bb
+  | Drop ra, Drop rb | Lost ra, Lost rb -> String.equal ra rb
   | _ -> false
+
+let show_fate = function
+  | Out (p, bits) -> Printf.sprintf "Out(port=%d %s)" p (Bitstring.to_hex bits)
+  | Drop r -> Printf.sprintf "Drop(%s)" r
+  | Lost s -> Printf.sprintf "Lost(%s)" s
 
 let device_probe_set =
   [
@@ -483,43 +600,48 @@ let device_probe_set =
     Bitstring.of_hex "45000014";
   ]
 
-let run_pair_and_compare ~what (dt, ds) bits_list =
-  List.iteri
+(* Inject every probe into the device and the reference, failing on the
+   first divergence; returns the agreed fates. *)
+let run_pair_and_compare ~what (d, r) bits_list =
+  List.mapi
     (fun i bits ->
-      let _, da = Device.inject dt ~source:(Device.External (i mod 4)) bits in
-      let _, db = Device.inject ds ~source:(Device.External (i mod 4)) bits in
-      if not (disp_equal da db) then
-        Alcotest.failf "%s pkt %d: devices diverge\n  tree:   %s\n  staged: %s" what i
-          (show_disp da) (show_disp db))
+      let port = i mod 4 in
+      let _, disp = Device.inject d ~source:(Device.External port) bits in
+      let got = fate_of_disp disp and want = reference_walk r ~port bits in
+      if not (fate_equal got want) then
+        Alcotest.failf
+          "%s pkt %d: device diverges from the reference\n  reference: %s\n  device:    %s" what
+          i (show_fate want) (show_fate got);
+      got)
     bits_list
 
 let test_device_parity_quirked () =
   (* default quirks include the reject-continue bug: the arp probe takes the
-     quirk path through the whole pipeline in both engines *)
-  run_pair_and_compare ~what:"basic_router/default-quirks"
-    (build_pair Programs.basic_router)
-    device_probe_set;
-  run_pair_and_compare ~what:"basic_router/no-quirks"
-    (build_pair ~quirks:Quirks.none Programs.basic_router)
-    device_probe_set;
-  run_pair_and_compare ~what:"acl/all-quirks"
-    (build_pair ~quirks:Quirks.all Programs.acl_firewall)
-    (List.map P.serialize
-       [
-         P.tcp_ipv4 ~src:0x0A000001L ~dst:0x0A010001L ~dst_port:23L ();
-         P.tcp_ipv4 ~src:0xC0A80001L ~dst:0x0A010005L ~dst_port:80L ();
-         P.udp_ipv4 ~src:0x0A000001L ~dst:0x0A000002L ~dst_port:4321L ();
-       ])
+     quirk path through the whole pipeline *)
+  ignore
+    (run_pair_and_compare ~what:"basic_router/default-quirks"
+       (build_pair Programs.basic_router)
+       device_probe_set);
+  ignore
+    (run_pair_and_compare ~what:"basic_router/no-quirks"
+       (build_pair ~quirks:Quirks.none Programs.basic_router)
+       device_probe_set);
+  ignore
+    (run_pair_and_compare ~what:"acl/all-quirks"
+       (build_pair ~quirks:Quirks.all Programs.acl_firewall)
+       (List.map P.serialize
+          [
+            P.tcp_ipv4 ~src:0x0A000001L ~dst:0x0A010001L ~dst_port:23L ();
+            P.tcp_ipv4 ~src:0xC0A80001L ~dst:0x0A010005L ~dst_port:80L ();
+            P.udp_ipv4 ~src:0x0A000001L ~dst:0x0A000002L ~dst_port:4321L ();
+          ]))
 
 let test_device_parity_registers () =
-  let ((dt, ds) as pair) = build_pair ~quirks:Quirks.none Programs.rate_limiter in
-  let bursts =
-    List.concat (List.init 6 (fun _ -> [ P.serialize (P.udp_ipv4 ~dst:0x0A000005L ()) ]))
-  in
-  run_pair_and_compare ~what:"rate_limiter" pair bursts;
-  let prog = Programs.rate_limiter.Programs.program in
-  if not (regs_equal prog (Device.registers dt) (Device.registers ds)) then
-    Alcotest.fail "rate_limiter: device register state diverges"
+  let ((d, r) as pair) = build_pair ~quirks:Quirks.none Programs.rate_limiter in
+  let bursts = List.init 6 (fun _ -> P.serialize (P.udp_ipv4 ~dst:0x0A000005L ())) in
+  ignore (run_pair_and_compare ~what:"rate_limiter" pair bursts);
+  if not (regs_equal r.r_pipeline.Pipeline.program (Device.registers d) r.r_regs) then
+    Alcotest.fail "rate_limiter: device register state diverges from the reference"
 
 let test_device_parity_faults () =
   let faults =
@@ -531,20 +653,24 @@ let test_device_parity_faults () =
       ("parser", Fault.Intermittent_drop 2);
     ]
   in
+  let probes = device_probe_set @ device_probe_set in
+  let clean =
+    run_pair_and_compare ~what:"unfaulted" (build_pair Programs.basic_router) probes
+  in
   List.iter
     (fun (stage, fault) ->
-      let ((dt, ds) as pair) = build_pair Programs.basic_router in
-      Device.inject_fault dt ~stage fault;
-      Device.inject_fault ds ~stage fault;
-      run_pair_and_compare
-        ~what:(Printf.sprintf "fault %s@%s" (Format.asprintf "%a" Fault.pp fault) stage)
-        pair
-        (device_probe_set @ device_probe_set);
-      (* clearing restores parity too *)
-      Device.clear_faults dt;
-      Device.clear_faults ds;
-      run_pair_and_compare ~what:(Printf.sprintf "cleared fault @%s" stage) pair
-        device_probe_set)
+      let what = Printf.sprintf "fault %s@%s" (Format.asprintf "%a" Fault.pp fault) stage in
+      let pair = build_pair Programs.basic_router in
+      inject_fault pair ~stage fault;
+      let faulted = run_pair_and_compare ~what pair probes in
+      (* the fault must change some fate, or device and reference could
+         agree by both ignoring it *)
+      if List.for_all2 fate_equal faulted clean then Alcotest.failf "%s changed no fate" what;
+      (* clearing restores the unfaulted behaviour *)
+      clear_faults pair;
+      ignore
+        (run_pair_and_compare ~what:(Printf.sprintf "cleared fault @%s" stage) pair
+           device_probe_set))
     faults
 
 let () =

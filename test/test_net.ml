@@ -300,6 +300,26 @@ let test_replicate_faults_opt_in () =
   | _, Device.Lost_in_stage _ -> Alcotest.fail "plain replica must not inherit the fault"
   | _ -> ()
 
+(* The topology JSON path is total: a byte-mutated or truncated fat-tree
+   document either fails [Json.of_string] or reaches [Topology.of_json],
+   and both return [Ok] or [Error], never an exception. The dictionary
+   lands digits, signs and JSON punctuation, so many mutants still parse
+   and exercise [of_json] with out-of-range ids, ports and counts. *)
+let fat_tree_json = lazy (Obs.Json.to_string (Topology.to_json (Topology.fat_tree 4)))
+
+let json_dict =
+  Array.map
+    (fun c -> Int64.of_int (Char.code c))
+    [| '0'; '9'; '-'; '.'; 'e'; '"'; ','; ':'; '['; ']'; '{'; '}'; '\\' |]
+
+let prop_topology_json_total =
+  QCheck.Test.make ~count:300 ~name:"json and topology decoders total under mutation"
+    QCheck.(pair int int)
+    (fun (seed, cut) ->
+      let decode s = Result.map Topology.of_json (Obs.Json.of_string s) in
+      Decoder_props.total ~dict:json_dict (Bitutil.Prng.create seed) ~cut decode
+        (Lazy.force fat_tree_json))
+
 let () =
   Alcotest.run "net"
     [
@@ -310,6 +330,7 @@ let () =
           Alcotest.test_case "validate rejects double port" `Quick
             test_validate_rejects_double_port;
           Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
+          QCheck_alcotest.to_alcotest prop_topology_json_total;
         ] );
       ( "fabric",
         [ Alcotest.test_case "link delay arithmetic" `Quick test_link_delay_arithmetic ] );

@@ -150,44 +150,18 @@ let prop_wire_stream_roundtrip =
       | _ -> false)
 
 (* The decoders are total: byte-mutated or truncated encodings of every
-   message constructor decode to [Ok] or [Error], never an exception. The
-   mutator sees each encoding as a run of byte fields, so its boundary and
-   dictionary moves land 0 and out-of-range values on length, tag and
-   width bytes. *)
+   message constructor decode to [Ok] or [Error], never an exception. *)
 let prop_wire_decoders_total =
   QCheck.Test.make ~count:300 ~name:"wire decoders total under mutation"
     QCheck.(pair int small_nat)
     (fun (seed, cut) ->
       let prng = Bitutil.Prng.create seed in
-      let total decode encoded =
-        let bits = Bitstring.of_string encoded in
-        let nbytes = String.length encoded in
-        let layout =
-          {
-            Fuzz.Mutate.fields =
-              Array.init nbytes (fun i ->
-                  {
-                    Fuzz.Mutate.fl_header = "msg";
-                    fl_field = string_of_int i;
-                    fl_off = 8 * i;
-                    fl_width = 8;
-                  });
-            total_bits = 8 * nbytes;
-            dict = [| 0L; 1L; 64L; 65L; 255L |];
-          }
-        in
-        let mutated = Bitstring.to_string (Fuzz.Mutate.mutate layout prng bits) in
-        let truncated = String.sub encoded 0 (cut mod (nbytes + 1)) in
-        List.for_all
-          (fun m ->
-            match decode m with
-            | Ok _ | Error _ -> true
-            | exception e ->
-                QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e))
-          [ mutated; truncated ]
-      in
-      List.for_all (fun m -> total Wire.decode_host (Wire.encode_host m)) host_samples
-      && List.for_all (fun m -> total Wire.decode_dev (Wire.encode_dev m)) dev_samples)
+      List.for_all
+        (fun m -> Decoder_props.total prng ~cut Wire.decode_host (Wire.encode_host m))
+        host_samples
+      && List.for_all
+           (fun m -> Decoder_props.total prng ~cut Wire.decode_dev (Wire.encode_dev m))
+           dev_samples)
 
 (* ---------------- channel ---------------- *)
 

@@ -267,6 +267,20 @@ let prop_parse_serialize_fixpoint =
       let bits' = P.serialize (P.parse bits) in
       Bitstring.equal bits bits')
 
+(* Pcap.decode is total: a byte-mutated or truncated two-record capture
+   decodes to [Ok] or [Error], never an exception. The dictionary puts
+   snap-length and record-length boundaries on the length bytes. *)
+let prop_pcap_decode_total =
+  QCheck.Test.make ~count:500 ~name:"pcap decode total under mutation"
+    QCheck.(pair int int)
+    (fun (seed, cut) ->
+      let record ts pkt = { P.Pcap.ts_ns = ts; data = Bitstring.to_string (P.serialize pkt) } in
+      let capture =
+        P.Pcap.encode [ record 1_500_000.0 (P.udp_ipv4 ()); record 2e9 (P.arp_request ()) ]
+      in
+      Decoder_props.total ~dict:[| 0L; 1L; 0x7FL; 0x80L; 0xFFL |] (Bitutil.Prng.create seed)
+        ~cut P.Pcap.decode capture)
+
 let () =
   Alcotest.run "packet"
     [
@@ -307,6 +321,7 @@ let () =
           Alcotest.test_case "pcap roundtrip" `Quick test_pcap_roundtrip;
           Alcotest.test_case "pcap header shape" `Quick test_pcap_header_shape;
           Alcotest.test_case "pcap rejects garbage" `Quick test_pcap_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_pcap_decode_total;
           QCheck_alcotest.to_alcotest prop_parse_serialize_fixpoint;
         ] );
     ]
