@@ -1,5 +1,5 @@
 (* Bechamel microbenchmarks: one Test.make per cost table in
-   EXPERIMENTS.md (B1-B17). Measures the per-operation cost of every hot
+   EXPERIMENTS.md (B1-B18). Measures the per-operation cost of every hot
    path in the simulator and toolchain; device rows run the device's
    staged core, B2/B2c the tree-walking spec interpreter. *)
 
@@ -255,6 +255,41 @@ let b14a_rows () =
   let words = (Gc.minor_words () -. w0) /. float_of_int n in
   let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n in
   [ ("netdebug/B14a device: staged forward minor words (Gc-counted)", Some ns, Some words) ]
+
+(* B18: one [Net.Route.path] lookup over every ordered pair of distinct
+   edges of a fat-tree k=8 (32 edges, 992 pairs) whose routing table is
+   already built — the per-pair oracle of a fabric sweep. Gc-counted
+   like B14a; its absolute words gate is in [absolute_gates]. *)
+let b18_name = "netdebug/B18 route: path over fat-tree:8 edge pairs minor words (Gc-counted)"
+
+let b18_rows () =
+  let topo = Net.Topology.fat_tree 8 in
+  let edges =
+    List.map (fun (n : Net.Topology.node) -> n.Net.Topology.n_id) (Net.Topology.edges topo)
+  in
+  let pairs =
+    List.concat_map
+      (fun s -> List.filter_map (fun d -> if s = d then None else Some (s, d)) edges)
+      edges
+    |> Array.of_list
+  in
+  let sweep () =
+    Array.iter
+      (fun (src_edge, dst_edge) -> ignore (Net.Route.path topo ~src_edge ~dst_edge))
+      pairs
+  in
+  sweep ();
+  (* warm: the table is built on the first call *)
+  let rounds = 20 in
+  let n = float_of_int (rounds * Array.length pairs) in
+  let t0 = Unix.gettimeofday () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    sweep ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. n in
+  let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. n in
+  [ (b18_name, Some ns, Some words) ]
 
 (* B15: B1 with the snapshot streamer's boundary check riding the packet
    path. Off-boundary, [Sampler.tick] is a single float compare; at a
@@ -606,6 +641,15 @@ let absolute_gates =
       20_000.0,
       Some 230.0,
       "B14a staged forward allocation" );
+    (* routes are computed once per topology: a path is a walk of the
+       precomputed next-hop table that allocates only its result (~35
+       words at k=8). Recomputing routes per call measured 51 094 words;
+       64 trips on any per-call BFS or adjacency rebuild. The ns ceiling
+       is loose — the words number is the regression signal. *)
+    ( b18_name,
+      5_000.0,
+      Some 64.0,
+      "B18 route path allocation" );
   ]
 
 (* Evaluate every gate pair; returns false on any violation. [quiet]
@@ -794,7 +838,9 @@ let opt_min a b =
 
 let run ?json ?(check_overhead = false) () =
   Format.printf "@.==== Microbenchmarks (Bechamel) ====@.@.";
-  let bench_rows = measure_once () @ b6a_rows () @ b12b_rows () @ b14a_rows () in
+  let bench_rows =
+    measure_once () @ b6a_rows () @ b12b_rows () @ b14a_rows () @ b18_rows ()
+  in
   let bench_rows =
     if check_overhead && not (check_overhead_gate ~quiet:true bench_rows) then begin
       Format.printf

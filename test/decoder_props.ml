@@ -1,7 +1,7 @@
 (* Never-raises checks for decoders at a trust boundary: a decoder fed a
    byte-mutated or truncated copy of a valid encoding must return [Ok] or
-   [Error], never raise. Shared by the wire, topology-JSON and pcap
-   properties. *)
+   [Error], never raise. Shared by the wire, topology-JSON, pcap, P4
+   source and HTTP request properties. *)
 
 module Bitstring = Bitutil.Bitstring
 module Mutate = Fuzz.Mutate
@@ -25,20 +25,23 @@ let byte_layout ~dict nbytes =
 
 let binary_dict = [| 0L; 1L; 64L; 65L; 255L |]
 
-(* [total ~dict prng ~cut decode encoded] runs [decode] over one mutated
-   and one truncated copy of [encoded] (the first [cut mod (length + 1)]
-   bytes); true when both return, failing the property with the raised
-   exception otherwise. *)
-let total ?(dict = binary_dict) prng ~cut decode encoded =
+(* [variants ~dict prng ~cut encoded]: one mutated and one truncated copy
+   of [encoded] (the first [cut mod (length + 1)] bytes). *)
+let variants ?(dict = binary_dict) prng ~cut encoded =
   let nbytes = String.length encoded in
   let mutated =
     Bitstring.to_string
       (Mutate.mutate (byte_layout ~dict nbytes) prng (Bitstring.of_string encoded))
   in
-  let truncated = String.sub encoded 0 ((cut land max_int) mod (nbytes + 1)) in
+  [ mutated; String.sub encoded 0 ((cut land max_int) mod (nbytes + 1)) ]
+
+(* [total ~dict prng ~cut decode encoded] runs [decode] over both
+   [variants]; true when both return, failing the property with the
+   raised exception otherwise. *)
+let total ?dict prng ~cut decode encoded =
   List.for_all
     (fun m ->
       match decode m with
       | Ok _ | Error _ -> true
       | exception e -> QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e))
-    [ mutated; truncated ]
+    (variants ?dict prng ~cut encoded)

@@ -243,6 +243,192 @@ let test_localize_healthy_fabric () =
   | v -> Alcotest.failf "expected Healthy, got %s" (Net.Localize.verdict_to_string v));
   check_int "full burst delivered" ev.Net.Localize.n_count ev.Net.Localize.n_delivered
 
+(* ---------------- routes: the table against the per-call reference ---------------- *)
+
+(* The per-call route computation [Net.Route] ran before it built one
+   table per topology, kept as the reference: every [ref_dists] and
+   [ref_next_hop] call rebuilds the port-sorted adjacency. *)
+let ref_adjacency (topo : Topology.t) =
+  let adj = Array.make (Array.length topo.Topology.nodes) [] in
+  Array.iter
+    (fun (l : Topology.link) ->
+      adj.(l.Topology.l_a) <- (l.Topology.l_a_port, l.Topology.l_b, l.Topology.l_b_port) :: adj.(l.Topology.l_a);
+      adj.(l.Topology.l_b) <- (l.Topology.l_b_port, l.Topology.l_a, l.Topology.l_a_port) :: adj.(l.Topology.l_b))
+    topo.Topology.links;
+  Array.map (List.sort compare) adj
+
+let ref_dists (topo : Topology.t) ~from =
+  let adj = ref_adjacency topo in
+  let d = Array.make (Array.length topo.Topology.nodes) max_int in
+  d.(from) <- 0;
+  let q = Queue.create () in
+  Queue.add from q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    List.iter
+      (fun (_, v, _) ->
+        if d.(v) = max_int then begin
+          d.(v) <- d.(u) + 1;
+          Queue.add v q
+        end)
+      adj.(u)
+  done;
+  d
+
+let ref_next_hop (topo : Topology.t) ~dists ~node ~dst_edge =
+  if node = dst_edge || dists.(node) = max_int then None
+  else
+    let adj = ref_adjacency topo in
+    let cands =
+      List.filter (fun (_, peer, _) -> dists.(peer) = dists.(node) - 1) adj.(node)
+      |> List.sort (fun (_, p1, pt1) (_, p2, pt2) -> compare (p1, pt1) (p2, pt2))
+    in
+    match cands with
+    | [] -> None
+    | _ ->
+        let port, peer, _ = List.nth cands (((node * 31) + dst_edge) mod List.length cands) in
+        Some (port, peer)
+
+let ref_path topo ~src_edge ~dst_edge =
+  if src_edge = dst_edge then Some [ src_edge ]
+  else
+    let d = ref_dists topo ~from:dst_edge in
+    if d.(src_edge) = max_int then None
+    else
+      let rec go acc node =
+        if node = dst_edge then Some (List.rev (node :: acc))
+        else
+          match ref_next_hop topo ~dists:d ~node ~dst_edge with
+          | None -> None
+          | Some (_, peer) -> go (node :: acc) peer
+      in
+      go [] src_edge
+
+let render_entries es =
+  List.map (fun (table, e) -> Format.asprintf "%s %a" table P4ir.Entry.pp e) es
+
+let ref_entries_for (topo : Topology.t) id =
+  let entry prefix len port dmac =
+    P4ir.Entry.make
+      ~keys:[ P4ir.Entry.lpm (P4ir.Value.make ~width:32 prefix) len ]
+      ~action:"set_nexthop"
+      ~args:[ P4ir.Value.of_int ~width:9 port; P4ir.Value.make ~width:48 dmac ]
+      ()
+  in
+  List.concat_map
+    (fun (e : Topology.node) ->
+      match e.Topology.n_subnet with
+      | None -> []
+      | Some (prefix, len) when e.Topology.n_id <> id -> (
+          let dists = ref_dists topo ~from:e.Topology.n_id in
+          match ref_next_hop topo ~dists ~node:id ~dst_edge:e.Topology.n_id with
+          | None -> []
+          | Some (port, peer) -> [ ("ipv4_lpm", entry prefix len port (Topology.node_mac peer)) ])
+      | Some _ ->
+          Array.to_list topo.Topology.hosts
+          |> List.filter (fun (h : Topology.host) -> h.Topology.h_node = id)
+          |> List.map (fun (h : Topology.host) ->
+                 ("ipv4_lpm", entry h.Topology.h_ip 32 h.Topology.h_port h.Topology.h_mac)))
+    (Topology.edges topo)
+  |> render_entries
+
+(* A leaf-spine edited as JSON, the way an externally supplied fabric
+   arrives: every uplink of leaf-0 removed, so no pair touching it has a
+   route. *)
+let cut_leaf_spine () =
+  let t = Topology.leaf_spine ~spines:2 ~leaves:3 () in
+  let leaf0 =
+    match Topology.node_named t "leaf-0" with
+    | Some n -> float_of_int n.Topology.n_id
+    | None -> Alcotest.fail "no leaf-0"
+  in
+  let touches_leaf0 l =
+    List.exists
+      (fun k -> Obs.Json.member k l = Some (Obs.Json.Num leaf0))
+      [ "a"; "b" ]
+  in
+  let edit = function
+    | Obs.Json.Obj fields ->
+        Obs.Json.Obj
+          (List.map
+             (function
+               | "links", Obs.Json.Arr ls ->
+                   ("links", Obs.Json.Arr (List.filter (fun l -> not (touches_leaf0 l)) ls))
+               | kv -> kv)
+             fields)
+    | j -> j
+  in
+  match Topology.of_json (edit (Topology.to_json t)) with
+  | Ok cut ->
+      check_int "two uplinks removed"
+        (Array.length t.Topology.links - 2)
+        (Array.length cut.Topology.links);
+      cut
+  | Error e -> Alcotest.failf "edited topology rejected: %s" e
+
+let edge_pairs topo =
+  let ids = List.map (fun (n : Topology.node) -> n.Topology.n_id) (Topology.edges topo) in
+  List.concat_map (fun s -> List.map (fun d -> (s, d)) ids) ids |> Array.of_list
+
+let route_topologies () =
+  [
+    Topology.fat_tree 4;
+    Topology.fat_tree 6;
+    Topology.fat_tree 8;
+    Topology.leaf_spine ~spines:2 ~leaves:2 ();
+    Topology.leaf_spine ~spines:4 ~leaves:8 ();
+    Topology.single ~hosts:4 ();
+    cut_leaf_spine ();
+  ]
+
+let path_string = function
+  | None -> "none"
+  | Some p -> String.concat "," (List.map string_of_int p)
+
+let test_routes_match_reference () =
+  let unrouted = ref 0 in
+  List.iter
+    (fun (topo : Topology.t) ->
+      Array.iter
+        (fun (src_edge, dst_edge) ->
+          let expect = ref_path topo ~src_edge ~dst_edge in
+          if expect = None then incr unrouted;
+          check_string
+            (Printf.sprintf "%s path %d->%d" topo.Topology.t_name src_edge dst_edge)
+            (path_string expect)
+            (path_string (Route.path topo ~src_edge ~dst_edge)))
+        (edge_pairs topo);
+      Array.iter
+        (fun (n : Topology.node) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s entries for %s" topo.Topology.t_name n.Topology.n_name)
+            (ref_entries_for topo n.Topology.n_id)
+            (render_entries (Route.entries_for topo n.Topology.n_id)))
+        topo.Topology.nodes)
+    (route_topologies ());
+  (* leaf-0 of the cut fabric neither reaches nor is reached by the
+     other two leaves *)
+  check_int "pairs with no route" 4 !unrouted
+
+(* Each worker domain builds and caches its own table; the results are
+   collected in the workers and judged here, on the calling domain. *)
+let test_route_path_across_domains () =
+  let topo = Topology.fat_tree 8 in
+  let pairs = edge_pairs topo in
+  let got =
+    Par.Pool.with_pool ~jobs:4 (fun pool ->
+        Par.Pool.map_chunks pool ~chunk:8
+          (fun ~worker:_ _ (src_edge, dst_edge) -> Route.path topo ~src_edge ~dst_edge)
+          pairs)
+  in
+  Array.iteri
+    (fun i (src_edge, dst_edge) ->
+      check_string
+        (Printf.sprintf "path %d->%d" src_edge dst_edge)
+        (path_string (ref_path topo ~src_edge ~dst_edge))
+        (path_string got.(i)))
+    pairs
+
 (* ---------------- satellite: prefixed registry merge ---------------- *)
 
 let test_registry_merge_prefix_keeps_devices_distinct () =
@@ -348,6 +534,13 @@ let () =
           Alcotest.test_case "names the faulted spine" `Quick
             test_localize_names_faulted_spine;
           Alcotest.test_case "healthy fabric" `Quick test_localize_healthy_fabric;
+        ] );
+      ( "route",
+        [
+          Alcotest.test_case "path and entries_for equal the per-call reference" `Quick
+            test_routes_match_reference;
+          Alcotest.test_case "path from 4 worker domains" `Quick
+            test_route_path_across_domains;
         ] );
       ( "satellites",
         [

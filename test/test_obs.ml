@@ -388,6 +388,44 @@ let test_http_roundtrip () =
   Obs.Http.close srv;
   check_int "closed server serves nothing" 0 (Obs.Http.poll srv)
 
+(* The request reader is total: every byte-mutated or truncated
+   [GET /metrics] request is answered with a status line, and [poll]
+   never raises. The client half-closes after sending, so a request cut
+   before its blank line ends at EOF instead of the read deadline. *)
+let request = "GET /metrics HTTP/1.0\r\nHost: localhost\r\n\r\n"
+
+let http_dict =
+  Array.map
+    (fun c -> Int64.of_int (Char.code c))
+    [| ' '; '/'; '?'; '\r'; '\n'; ':'; 'G'; 'g'; '\000' |]
+
+let prop_http_requests_answered =
+  QCheck.Test.make ~count:150 ~name:"mutated requests get a status line"
+    QCheck.(pair int int)
+    (fun (seed, cut) ->
+      let srv =
+        Obs.Http.create
+          [ ("/metrics", Obs.Http.route ~content_type:"text/plain" (fun () -> "probe 1\n")) ]
+      in
+      Fun.protect
+        ~finally:(fun () -> Obs.Http.close srv)
+        (fun () ->
+          List.for_all
+            (fun req ->
+              let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Obs.Http.port srv));
+              ignore (Unix.write_substring fd req 0 (String.length req));
+              Unix.shutdown fd Unix.SHUTDOWN_SEND;
+              match Obs.Http.poll srv with
+              | exception e ->
+                  Unix.close fd;
+                  QCheck.Test.fail_reportf "poll raised %s" (Printexc.to_string e)
+              | _ ->
+                  let reply = read_reply fd in
+                  String.starts_with ~prefix:"HTTP/1.0 " reply
+                  || QCheck.Test.fail_reportf "request %S got reply %S" req reply)
+            (Decoder_props.variants ~dict:http_dict (Bitutil.Prng.create seed) ~cut request)))
+
 (* ---------------- suite ---------------- *)
 
 let () =
@@ -418,7 +456,10 @@ let () =
       ( "monitor",
         [ Alcotest.test_case "status windows judged" `Quick test_monitor_health ] );
       ( "http",
-        [ Alcotest.test_case "loopback roundtrip" `Quick test_http_roundtrip ] );
+        [
+          Alcotest.test_case "loopback roundtrip" `Quick test_http_roundtrip;
+          QCheck_alcotest.to_alcotest prop_http_requests_answered;
+        ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_windows_partition ] );
     ]

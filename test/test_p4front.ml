@@ -426,6 +426,30 @@ let test_typecheck_runs_in_elab () =
   parse_err "undeclared counter"
     (mini_prelude ^ {| control ingress { count(nope); } |})
 
+(* The P4 front door is total: a byte-mutated or truncated copy of each
+   example program returns [Ok] or a positioned [Error], never an
+   exception. The dictionary lands digits and the punctuation the
+   grammar turns on (blocks, widths, masks, comments, strings). *)
+let example_sources =
+  lazy
+    (List.map
+       (fun path -> In_channel.with_open_bin path In_channel.input_all)
+       [ router_path; kv_path; "heavy_hitter.p4" ])
+
+let p4_dict =
+  Array.map
+    (fun c -> Int64.of_int (Char.code c))
+    [| '0'; '9'; '{'; '}'; '('; ')'; '<'; '>'; ';'; '='; '&'; '/'; '*'; '"'; '.'; ':' |]
+
+let prop_parse_string_total =
+  QCheck.Test.make ~count:300 ~name:"parse_string total under mutation"
+    QCheck.(triple small_nat int int)
+    (fun (which, seed, cut) ->
+      let sources = Lazy.force example_sources in
+      Decoder_props.total ~dict:p4_dict (Bitutil.Prng.create seed) ~cut
+        (Front.parse_string ~name:"mutant")
+        (List.nth sources (which mod List.length sources)))
+
 let () =
   Alcotest.run "p4front"
     [
@@ -466,5 +490,6 @@ let () =
           Alcotest.test_case "method call forms" `Quick test_method_call_forms;
           Alcotest.test_case "syntax errors" `Quick test_syntax_errors_have_positions;
           QCheck_alcotest.to_alcotest prop_expr_roundtrip;
+          QCheck_alcotest.to_alcotest prop_parse_string_total;
         ] );
     ]
