@@ -1,5 +1,5 @@
 (* Bechamel microbenchmarks: one Test.make per cost table in
-   EXPERIMENTS.md (B1-B18). Measures the per-operation cost of every hot
+   EXPERIMENTS.md (B1-B19). Measures the per-operation cost of every hot
    path in the simulator and toolchain; device rows run the device's
    staged core, B2/B2c the tree-walking spec interpreter. *)
 
@@ -65,17 +65,21 @@ let b3_generator =
          ok (Netdebug.Controller.configure_generator ctl [ stream ]);
          ok (Netdebug.Controller.start_generator ctl)))
 
+(* B4: one armed rule as the checker runs it — a predicate compiled by
+   the staged engine over a staged parse of the emission. *)
 let b4_checker_rule =
   let program = Programs.basic_router.Programs.program in
-  let env = P4ir.Env.create program in
-  let ctx = P4ir.Exec.make_ctx ~env ~runtime:(Runtime.create ()) () in
   let hooks =
     { P4ir.Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 }
   in
-  let () = ignore (P4ir.Parse.run ~hooks ctx routed_probe) in
-  let rule = P4ir.Dsl.(fld "ipv4" "ttl" ==: const ~width:8 64) in
+  let cp = P4ir.Compilecore.compile ~parse_hooks:hooks program in
+  let inst = P4ir.Compilecore.instantiate cp ~runtime:(Runtime.create ()) in
+  P4ir.Compilecore.run_parser inst routed_probe;
+  let rule =
+    P4ir.Compilecore.compile_predicate cp P4ir.Dsl.(fld "ipv4" "ttl" ==: const ~width:8 64)
+  in
   Test.make ~name:"B4 checker: evaluate one rule"
-    (Staged.stage (fun () -> ignore (P4ir.Exec.eval ctx rule)))
+    (Staged.stage (fun () -> ignore (rule inst)))
 
 (* B5/B5b/B5c: first-match lookup cost as the route table scales. B5 keeps
    its historical row name — the committed JSON baseline and the CI gate
@@ -239,13 +243,13 @@ let b2c_interp_forward_coverage =
 (* B14a: exact minor-heap allocation of one device forward, Gc-counted
    like B6a and B13a (bechamel's OLS reports ~0 words for B1); its
    absolute words gate is in [absolute_gates]. *)
-let b14a_rows () =
-  let d = make_device () in
+(* ns and minor words of one routed-probe forward through [d], after a
+   warm-up (span-name interning, queue rings) *)
+let forward_cost d =
   let forward () = ignore (Device.inject d ~source:(Device.External 0) routed_probe) in
   for _ = 1 to 1_000 do
     forward ()
   done;
-  (* warm: span-name interning, queue rings *)
   let n = 20_000 in
   let t0 = Unix.gettimeofday () in
   let w0 = Gc.minor_words () in
@@ -253,8 +257,84 @@ let b14a_rows () =
     forward ()
   done;
   let words = (Gc.minor_words () -. w0) /. float_of_int n in
-  let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n in
+  ((Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n, words)
+
+let b14a_rows () =
+  let ns, words = forward_cost (make_device ()) in
   [ ("netdebug/B14a device: staged forward minor words (Gc-counted)", Some ns, Some words) ]
+
+(* B4a: what the checker adds to one emission with basic_router's
+   expected-field rules armed (egress port plus one equality per output
+   header field, as a functional vector arms them): the same harness
+   forward timed and Gc-counted with the rules armed and disarmed, the
+   row the difference. Its absolute words gate is in [absolute_gates]. *)
+let b4a_name =
+  "netdebug/B4a checker: judge one emission, expected-field rules armed (Gc-counted, over an unarmed forward)"
+
+let b4a_rows () =
+  let bundle = Programs.basic_router in
+  let program = bundle.Programs.program in
+  let h = Netdebug.Harness.deploy ~quirks:Quirks.none bundle in
+  let rt = Runtime.create () in
+  (match Runtime.install_all program rt bundle.Programs.entries with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  let rules =
+    match (Interp.process program rt ~ingress_port:0 routed_probe).Interp.result with
+    | Interp.Forwarded (port, out) ->
+        let env = P4ir.Env.create program in
+        let ctx = P4ir.Exec.make_ctx ~env ~runtime:(Runtime.create ()) () in
+        let hooks =
+          { P4ir.Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 }
+        in
+        ignore (P4ir.Parse.run ~hooks ctx out);
+        Netdebug.Controller.expect_port port
+        :: List.map
+             (fun (hd, f, v) ->
+               Netdebug.Controller.expect ~name:(hd ^ "." ^ f)
+                 P4ir.Dsl.(fld hd f ==: P4ir.Ast.Const v))
+             (P4ir.Env.snapshot_fields env)
+    | Interp.Dropped r -> failwith ("B4a: probe dropped: " ^ r)
+  in
+  let chk = Netdebug.Agent.checker h.Netdebug.Harness.agent in
+  let d = h.Netdebug.Harness.device in
+  (* the words are exact; the two times are minima over alternating
+     rounds, since their difference is small next to host noise *)
+  let best = ref (infinity, 0.0, infinity, 0.0) in
+  for _ = 1 to 3 do
+    Netdebug.Checker.configure chk [];
+    let bns, bw = forward_cost d in
+    Netdebug.Checker.configure chk rules;
+    let ans, aw = forward_cost d in
+    let b0, _, a0, _ = !best in
+    best := (Float.min b0 bns, bw, Float.min a0 ans, aw)
+  done;
+  let bare_ns, bare_w, armed_ns, armed_w = !best in
+  let s = Netdebug.Checker.summary chk in
+  if List.exists (fun r -> r.Netdebug.Wire.rs_failed > 0) s.Netdebug.Wire.cs_rules then
+    failwith "B4a: an expected-field rule failed on a faithful forward";
+  [ (b4a_name, Some (armed_ns -. bare_ns), Some (armed_w -. bare_w)) ]
+
+(* B19: words one [Harness.deploy] allocates, minor plus direct major
+   (allocated = minor + major - promoted), Gc-counted. The span store's
+   ten 8 192-slot columns used to be ~82k of ~91k words here; they now
+   start empty and grow as spans are recorded. *)
+let b19_name = "netdebug/B19 harness: deploy basic_router allocated words (Gc-counted)"
+
+let b19_rows () =
+  let deploy () = ignore (Netdebug.Harness.deploy Programs.basic_router) in
+  deploy ();
+  let n = 200 in
+  let t0 = Unix.gettimeofday () in
+  let s0 = Gc.quick_stat () in
+  for _ = 1 to n do
+    deploy ()
+  done;
+  let s1 = Gc.quick_stat () in
+  let allocated (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
+  let words = (allocated s1 -. allocated s0) /. float_of_int n in
+  let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n in
+  [ (b19_name, Some ns, Some words) ]
 
 (* B18: one [Net.Route.path] lookup over every ordered pair of distinct
    edges of a fat-tree k=8 (32 edges, 992 pairs) whose routing table is
@@ -650,6 +730,15 @@ let absolute_gates =
       5_000.0,
       Some 64.0,
       "B18 route path allocation" );
+    (* armed rules run as compiled closures over one staged parse of the
+       emission: ~145 words over an unarmed forward, where the tree
+       re-parse and rule walk cost ~1 014. 300 trips on a return to
+       per-emission tree evaluation or per-rule allocation. The ns
+       ceiling is loose — the words number is the regression signal. *)
+    (b4a_name, 20_000.0, Some 300.0, "B4a armed checker allocation");
+    (* a deploy measured ~91k words while the span store allocated its
+       columns up front (~82k of them); 30k trips if it does again. *)
+    (b19_name, 5_000_000.0, Some 30_000.0, "B19 deploy allocation");
   ]
 
 (* Evaluate every gate pair; returns false on any violation. [quiet]
@@ -839,7 +928,8 @@ let opt_min a b =
 let run ?json ?(check_overhead = false) () =
   Format.printf "@.==== Microbenchmarks (Bechamel) ====@.@.";
   let bench_rows =
-    measure_once () @ b6a_rows () @ b12b_rows () @ b14a_rows () @ b18_rows ()
+    measure_once () @ b4a_rows () @ b6a_rows () @ b12b_rows () @ b14a_rows () @ b18_rows ()
+    @ b19_rows ()
   in
   let bench_rows =
     if check_overhead && not (check_overhead_gate ~quiet:true bench_rows) then begin

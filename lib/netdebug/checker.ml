@@ -1,25 +1,26 @@
-module Ast = P4ir.Ast
-module Value = P4ir.Value
-module Env = P4ir.Env
-module Exec = P4ir.Exec
-module Parse = P4ir.Parse
+module Compilecore = P4ir.Compilecore
 module Device = Target.Device
 module Bitstring = Bitutil.Bitstring
 
 type rule_state = {
   rule : Wire.rule;
+  applies : Compilecore.inst -> bool;  (* compiled filter; always true without one *)
+  holds : Compilecore.inst -> bool;  (* compiled expect *)
   mutable matched : int;
   mutable passed : int;
   mutable failed : int;
 }
 
 type t = {
-  program : Ast.program;
   capture_limit : int;
   mutable rules : rule_state list;
   mutable total_seen : int;
-  mutable scratch : (Env.t * Exec.ctx) option;  (* reused rule-eval context *)
+  (* the program compiled with [check_parse_hooks] and one instance of it,
+     built on the first non-empty [configure]: a checker that never arms
+     a rule never pays the compile *)
+  staged : (Compilecore.t * Compilecore.inst) Lazy.t;
   mutable captures : Wire.capture list;  (* newest first, bounded *)
+  mutable n_captures : int;
   lat : Stats.Histogram.t;
   rate : Stats.Rate.t;
   (* cumulative verdict counters in the device registry; unlike the
@@ -31,50 +32,21 @@ type t = {
 
 (* the checker observes; it never drops what it parses *)
 let check_parse_hooks =
-  { Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 }
+  { P4ir.Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 }
 
-let on_output t (out : Device.output) =
-  t.total_seen <- t.total_seen + 1;
-  Stats.Counter.incr t.c_seen;
-  Stats.Histogram.add t.lat (out.Device.o_out_time_ns -. out.Device.o_in_time_ns);
-  Stats.Rate.record t.rate ~now_ns:out.Device.o_out_time_ns
-    ~bytes:(Bitstring.byte_length out.Device.o_bits);
-  (* rule evaluation needs the emission re-parsed into header fields — a
-     full interpreter context per packet. With no rules armed (the common
-     case outside a validation run: soak background traffic, fabric
-     forwarding hops) none of that is observable, so skip it and keep the
-     tap at counter-and-histogram cost. *)
-  if t.rules <> [] then begin
-  (* the full interpreter context the re-parse needs is kept and reset
-     between emissions rather than rebuilt — rule evaluation is pure
-     over the freshly parsed fields *)
-  let env, ctx =
-    match t.scratch with
-    | Some (env, ctx) ->
-        Env.reset env;
-        (env, ctx)
-    | None ->
-        let env = Env.create t.program in
-        let ctx = Exec.make_ctx ~env ~runtime:(P4ir.Runtime.create ()) () in
-        t.scratch <- Some (env, ctx);
-        (env, ctx)
-  in
-  ignore (Parse.run ~hooks:check_parse_hooks ctx out.Device.o_bits);
-  Env.set_std env Ast.Egress_spec (Value.of_int ~width:9 (out.Device.o_port land 0x1ff));
-  let truthy e = Value.to_bool (Exec.eval ctx e) in
-  List.iter
-    (fun rs ->
-      let applies = match rs.rule.Wire.r_filter with None -> true | Some f -> truthy f in
-      if applies then begin
+let rec judge t inst (out : Device.output) = function
+  | [] -> ()
+  | rs :: rest ->
+      if rs.applies inst then begin
         rs.matched <- rs.matched + 1;
-        if truthy rs.rule.Wire.r_expect then begin
+        if rs.holds inst then begin
           rs.passed <- rs.passed + 1;
           Stats.Counter.incr t.c_pass
         end
         else begin
           rs.failed <- rs.failed + 1;
           Stats.Counter.incr t.c_fail;
-          if List.length t.captures < t.capture_limit then
+          if t.n_captures < t.capture_limit then begin
             t.captures <-
               {
                 Wire.cap_rule = rs.rule.Wire.r_name;
@@ -82,22 +54,46 @@ let on_output t (out : Device.output) =
                 cap_time_ns = out.Device.o_out_time_ns;
                 cap_bits = out.Device.o_bits;
               }
-              :: t.captures
+              :: t.captures;
+            t.n_captures <- t.n_captures + 1
+          end
         end
-      end)
-    t.rules
+      end;
+      judge t inst out rest
+
+let on_output t (out : Device.output) =
+  t.total_seen <- t.total_seen + 1;
+  Stats.Counter.incr t.c_seen;
+  Stats.Histogram.add t.lat (out.Device.o_out_time_ns -. out.Device.o_in_time_ns);
+  Stats.Rate.record t.rate ~now_ns:out.Device.o_out_time_ns
+    ~bytes:(Bitstring.byte_length out.Device.o_bits);
+  (* with no rules armed (soak background traffic outside a validation
+     burst, fabric forwarding hops) the tap stays at counter-and-histogram
+     cost; otherwise one staged parse of the emission, with the observed
+     port as [egress_spec], feeds every rule's compiled closures *)
+  if t.rules <> [] then begin
+    let _, inst = Lazy.force t.staged in
+    Compilecore.reset inst;
+    Compilecore.run_parser inst out.Device.o_bits;
+    Compilecore.set_egress_spec inst out.Device.o_port;
+    judge t inst out t.rules
   end
 
 let create ?(capture_limit = 64) ~program device =
   let metrics = Device.metrics device in
+  let staged =
+    lazy
+      (let cp = Compilecore.compile ~parse_hooks:check_parse_hooks program in
+       (cp, Compilecore.instantiate cp ~runtime:(P4ir.Runtime.create ())))
+  in
   let t =
     {
-      program;
       capture_limit;
       rules = [];
       total_seen = 0;
-      scratch = None;
+      staged;
       captures = [];
+      n_captures = 0;
       lat = Stats.Histogram.create ();
       rate = Stats.Rate.create ();
       c_seen =
@@ -114,8 +110,29 @@ let create ?(capture_limit = 64) ~program device =
   Device.set_check_tap device (fun out -> on_output t out);
   t
 
+(* Each filter and expect is compiled once here, so judging an emission
+   runs closures over the staged parse. *)
 let configure t rules =
-  t.rules <- List.map (fun rule -> { rule; matched = 0; passed = 0; failed = 0 }) rules
+  t.rules <-
+    (match rules with
+    | [] -> []
+    | _ ->
+        let cp, _ = Lazy.force t.staged in
+        let compile = Compilecore.compile_predicate cp in
+        List.map
+          (fun (rule : Wire.rule) ->
+            {
+              rule;
+              applies =
+                (match rule.Wire.r_filter with None -> fun _ -> true | Some f -> compile f);
+              holds = compile rule.Wire.r_expect;
+              matched = 0;
+              passed = 0;
+              failed = 0;
+            })
+          rules)
+
+let rules t = List.map (fun rs -> rs.rule) t.rules
 
 let summary t =
   {
@@ -145,6 +162,7 @@ let throughput t = t.rate
 let clear t =
   t.total_seen <- 0;
   t.captures <- [];
+  t.n_captures <- 0;
   Stats.Histogram.clear t.lat;
   Stats.Rate.clear t.rate;
   List.iter

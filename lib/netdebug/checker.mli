@@ -18,7 +18,13 @@ val create : ?capture_limit:int -> program:P4ir.Ast.program -> Target.Device.t -
 (** Attaches the device's check tap. [capture_limit] defaults to 64. *)
 
 val configure : t -> Wire.rule list -> unit
-(** Replace the rule set and reset statistics and captures. *)
+(** Replace the rule set; each rule's counters start at zero. The seen
+    count, latency, rate and captures are kept until {!clear}. The first
+    non-empty rule set compiles the program onto the staged engine; each
+    rule's filter and expect are compiled here, once. *)
+
+val rules : t -> Wire.rule list
+(** The armed rules, in configuration order. *)
 
 val summary : t -> Wire.checker_summary
 (** Counters (seen/passed/failed per rule) plus the capture ring of

@@ -169,6 +169,7 @@ and t = {
   ck_update : (inst -> unit) option;
   emits : cemit array;
   base_always_miss : string -> bool;
+  shift_amount : int -> int;  (* baked into {!compile_predicate}'s shifts *)
 }
 
 and inst = {
@@ -254,9 +255,11 @@ let intern_assert cc msg =
       i
 
 (* [params]: positional (name, (index, width)) scope of the enclosing
-   action body, [] elsewhere. *)
-let rec compile_expr cc params (e : Ast.expr) : cexpr =
-  let lay = cc.cc_lay in
+   action body, [] elsewhere. Expressions need only the layout and the
+   shift hook, so rule predicates ({!compile_predicate}) lower through
+   here without a statement-compilation context. *)
+let rec lower_expr lay shift_amount params (e : Ast.expr) : cexpr =
+  let lower = lower_expr lay shift_amount params in
   match e with
   | Ast.Const v ->
       let x = Value.to_int64 v in
@@ -288,14 +291,14 @@ let rec compile_expr cc params (e : Ast.expr) : cexpr =
       | Some hid ->
           { cw = 1; ce = (fun st -> if Array.unsafe_get st.valid hid then 1L else 0L) })
   | Ast.Un (Ast.BNot, e1) ->
-      let c1 = compile_expr cc params e1 in
+      let c1 = lower e1 in
       let m = mask_of c1.cw in
       { cw = c1.cw; ce = (fun st -> Int64.logand (Int64.lognot (c1.ce st)) m) }
   | Ast.Un (Ast.LNot, e1) ->
-      let c1 = compile_expr cc params e1 in
+      let c1 = lower e1 in
       { cw = 1; ce = (fun st -> if c1.ce st = 0L then 1L else 0L) }
   | Ast.Slice (e1, msb, lsb) ->
-      let c1 = compile_expr cc params e1 in
+      let c1 = lower e1 in
       if lsb < 0 || msb < lsb || msb >= c1.cw then
         (* [Value.slice] rejects after the operand evaluates *)
         { cw = 1;
@@ -310,7 +313,7 @@ let rec compile_expr cc params (e : Ast.expr) : cexpr =
         { cw = w; ce = (fun st -> Int64.logand (Int64.shift_right_logical (c1.ce st) lsb) m) }
       end
   | Ast.Concat (e1, e2) ->
-      let c1 = compile_expr cc params e1 and c2 = compile_expr cc params e2 in
+      let c1 = lower e1 and c2 = lower e2 in
       if c1.cw + c2.cw > 64 then
         { cw = 1;
           ce =
@@ -325,14 +328,13 @@ let rec compile_expr cc params (e : Ast.expr) : cexpr =
           ce = (fun st -> Int64.logor (Int64.shift_left (c1.ce st) sh) (c2.ce st));
         }
   | Ast.Bin (Ast.LAnd, e1, e2) ->
-      let c1 = compile_expr cc params e1 and c2 = compile_expr cc params e2 in
+      let c1 = lower e1 and c2 = lower e2 in
       { cw = 1; ce = (fun st -> if c1.ce st <> 0L then (if c2.ce st <> 0L then 1L else 0L) else 0L) }
   | Ast.Bin (Ast.LOr, e1, e2) ->
-      let c1 = compile_expr cc params e1 and c2 = compile_expr cc params e2 in
+      let c1 = lower e1 and c2 = lower e2 in
       { cw = 1; ce = (fun st -> if c1.ce st <> 0L then 1L else if c2.ce st <> 0L then 1L else 0L) }
   | Ast.Bin (((Ast.Shl | Ast.Shr) as op), e1, e2) ->
-      let c1 = compile_expr cc params e1 and c2 = compile_expr cc params e2 in
-      let shift_amount = cc.cc_hooks.Exec.shift_amount in
+      let c1 = lower e1 and c2 = lower e2 in
       let m = mask_of c1.cw in
       let left = op = Ast.Shl in
       { cw = c1.cw;
@@ -347,7 +349,7 @@ let rec compile_expr cc params (e : Ast.expr) : cexpr =
               Int64.logand (Int64.shift_right_logical v n) m);
       }
   | Ast.Bin (op, e1, e2) -> (
-      let c1 = compile_expr cc params e1 and c2 = compile_expr cc params e2 in
+      let c1 = lower e1 and c2 = lower e2 in
       let m = mask_of c1.cw in
       let w = c1.cw in
       match op with
@@ -368,6 +370,8 @@ let rec compile_expr cc params (e : Ast.expr) : cexpr =
       | Ast.Ge ->
           { cw = 1; ce = (fun st -> let a = c1.ce st in if Int64.unsigned_compare a (c2.ce st) >= 0 then 1L else 0L) }
       | Ast.Shl | Ast.Shr | Ast.LAnd | Ast.LOr -> assert false)
+
+let compile_expr cc params e = lower_expr cc.cc_lay cc.cc_hooks.Exec.shift_amount params e
 
 (* An lvalue setter; the value argument carries the RHS already evaluated,
    so raising setters still evaluate the RHS first, like the tree engine. *)
@@ -857,6 +861,7 @@ let compile ?(exec_hooks = Exec.spec_hooks) ?(parse_hooks = Parse.spec_hooks)
     ck_update;
     emits;
     base_always_miss = exec_hooks.Exec.table_always_miss;
+    shift_amount = exec_hooks.Exec.shift_amount;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -870,6 +875,13 @@ let n_tables cp = cp.n_tables
 let table_name cp i = cp.table_names.(i)
 let assert_msg cp i = cp.assert_msgs.(i)
 let has_registers cp = Array.length cp.reg_decls > 0
+
+(* A rule over the parsed state, lowered like any program expression:
+   [Value.to_bool] of the tree [Exec.eval] result is "nonzero". *)
+let compile_predicate cp e =
+  let c = lower_expr cp.lay cp.shift_amount [] e in
+  let ce = c.ce in
+  fun st -> ce st <> 0L
 
 (* ------------------------------------------------------------------ *)
 (* Instances                                                           *)
@@ -932,6 +944,9 @@ let reset st =
 
 let set_ingress_port st p =
   st.std.(std_slot Ast.Ingress_port) <- Int64.logand (Int64.of_int p) (mask_of 9)
+
+let set_egress_spec st p =
+  st.std.(std_slot Ast.Egress_spec) <- Int64.logand (Int64.of_int p) (mask_of 9)
 
 let dropped st = st.std.(std_slot Ast.Egress_spec) = Int64.of_int Stdmeta.drop_port
 

@@ -68,6 +68,14 @@ val table_name : t -> int -> string
 val assert_msg : t -> int -> string
 val has_registers : t -> bool
 
+val compile_predicate : t -> Ast.expr -> inst -> bool
+(** Lower a boolean rule over the program's headers, metadata and
+    standard metadata (no action parameters in scope) to a closure over
+    an instance of this compiled program. [compile_predicate cp e st] is
+    [Value.to_bool (Exec.eval ctx e)] over the same parsed state,
+    exceptions included: an undeclared name raises the tree engine's
+    message when the predicate runs, not when it compiles. *)
+
 (** {1 Instances} *)
 
 val instantiate :
@@ -97,6 +105,10 @@ val reset : inst -> unit
     metadata, parse results. Registers and table matchers persist. *)
 
 val set_ingress_port : inst -> int -> unit
+
+val set_egress_spec : inst -> int -> unit
+(** Store a port in [standard_metadata.egress_spec], masked to its 9
+    bits like [Env.set_std]. *)
 
 val run_parser : inst -> Bitutil.Bitstring.t -> unit
 (** Parse a packet (also sets [packet_length]). Results via

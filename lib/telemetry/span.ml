@@ -53,16 +53,20 @@ type span = {
 
 type t = {
   capacity : int;
-  ids : int array;
-  parents : int array;
-  packets : int array;
-  kinds : int array;
-  names : int array;
-  starts : float array;
-  ends_ : float array;
-  byts : int array;
-  flgs : int array;
-  notes : int array;
+  (* the ten columns start empty and grow by doubling as spans arrive,
+     up to [capacity] where the ring starts to wrap: a device that never
+     samples a span pays nothing for them, and one that samples a few
+     (a fabric hop at the default 1-in-64) pays for a few *)
+  mutable ids : int array;
+  mutable parents : int array;
+  mutable packets : int array;
+  mutable kinds : int array;
+  mutable names : int array;
+  mutable starts : float array;
+  mutable ends_ : float array;
+  mutable byts : int array;
+  mutable flgs : int array;
+  mutable notes : int array;
   mutable next : int;  (* next write slot *)
   mutable total : int; (* spans ever recorded *)
   intern_tbl : (string, int) Hashtbl.t;
@@ -77,16 +81,16 @@ let create ?(capacity = 8192) ?(sampling = 1) () =
   if capacity < 1 then invalid_arg "Span.create: capacity must be positive";
   {
     capacity;
-    ids = Array.make capacity 0;
-    parents = Array.make capacity no_parent;
-    packets = Array.make capacity 0;
-    kinds = Array.make capacity 0;
-    names = Array.make capacity 0;
-    starts = Array.make capacity 0.0;
-    ends_ = Array.make capacity 0.0;
-    byts = Array.make capacity 0;
-    flgs = Array.make capacity 0;
-    notes = Array.make capacity no_note;
+    ids = [||];
+    parents = [||];
+    packets = [||];
+    kinds = [||];
+    names = [||];
+    starts = [||];
+    ends_ = [||];
+    byts = [||];
+    flgs = [||];
+    notes = [||];
     next = 0;
     total = 0;
     intern_tbl = Hashtbl.create 32;
@@ -96,6 +100,29 @@ let create ?(capacity = 8192) ?(sampling = 1) () =
     tick = 0;
     next_id = 0;
   }
+
+let first_columns = 256
+
+(* Only reached while the ring has not wrapped ([next] = filled length),
+   so the live spans are the prefix [0, next) of every column. *)
+let grow t =
+  let n = Array.length t.ids in
+  let m = if n = 0 then min t.capacity first_columns else min t.capacity (2 * n) in
+  let ext a fill =
+    let b = Array.make m fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.ids <- ext t.ids 0;
+  t.parents <- ext t.parents no_parent;
+  t.packets <- ext t.packets 0;
+  t.kinds <- ext t.kinds 0;
+  t.names <- ext t.names 0;
+  t.starts <- ext t.starts 0.0;
+  t.ends_ <- ext t.ends_ 0.0;
+  t.byts <- ext t.byts 0;
+  t.flgs <- ext t.flgs 0;
+  t.notes <- ext t.notes no_note
 
 let intern t s =
   match Hashtbl.find t.intern_tbl s with
@@ -137,6 +164,7 @@ let issued t = t.next_id
 
 let record t ~id ~parent ~packet ~kind ~name ~t0 ~t1 ~bytes ~flags ~note =
   let i = t.next in
+  if i = Array.length t.ids then grow t;
   t.ids.(i) <- id;
   t.parents.(i) <- parent;
   t.packets.(i) <- packet;

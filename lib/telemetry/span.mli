@@ -43,8 +43,10 @@ type span = {
 type t
 
 val create : ?capacity:int -> ?sampling:int -> unit -> t
-(** Ring of [capacity] spans (default 8192). [sampling] as for
-    {!set_sampling} (default 1: every packet). *)
+(** Ring of [capacity] spans (default 8192). Its storage starts empty
+    and doubles as spans are recorded, so a store that never records
+    allocates nothing for them. [sampling] as for {!set_sampling}
+    (default 1: every packet). *)
 
 val intern : t -> string -> int
 (** Intern a name/annotation; stable id per distinct string. *)

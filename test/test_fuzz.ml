@@ -180,7 +180,10 @@ let test_campaign_rejects_zero_budget () =
 
 let test_report_golden () =
   let r = Lazy.force guided in
-  let ic = open_in "fuzz_report.golden" in
+  (* dune runtest copies the golden next to the binary; fall back to the
+     source tree when the binary is run by hand from the repository root *)
+  let file = "fuzz_report.golden" in
+  let ic = open_in (if Sys.file_exists file then file else Filename.concat "test" file) in
   let n = in_channel_length ic in
   let golden = really_input_string ic n in
   close_in ic;

@@ -620,6 +620,323 @@ let test_check_paths_flags_reject_quirk () =
   check_bool "clean toolchain agrees" true (Usecases.Functional.paths_agree rc);
   check_int "nothing skipped on the router" 0 rc.Usecases.Functional.pr_skipped
 
+(* ---------------- staged checker vs the tree rule walk ---------------- *)
+
+(* The checker's reference semantics: re-parse each emission with the tree
+   parser under the checker's never-dropping hooks, expose the observed
+   port as [egress_spec], and [Exec.eval] every filter and expect. The
+   checker runs compiled closures over one staged parse instead; these
+   tests hold it to this walk. *)
+module Tree_walk = struct
+  type t = { env : P4ir.Env.t; ctx : P4ir.Exec.ctx }
+
+  let hooks = { P4ir.Parse.on_reject = `Continue; verify_checksum = false; max_steps = 64 }
+
+  let create program =
+    let env = P4ir.Env.create program in
+    { env; ctx = P4ir.Exec.make_ctx ~env ~runtime:(Runtime.create ()) () }
+
+  (* for every rule [i] whose filter applies, in order: [matched i], then
+     [verdict i held] once its expect is evaluated; an ill-formed rule
+     raises out of the walk like out of the tap *)
+  let judge t (rules : Wire.rule list) (out : Device.output) ~matched ~verdict =
+    P4ir.Env.reset t.env;
+    ignore (P4ir.Parse.run ~hooks t.ctx out.Device.o_bits);
+    P4ir.Env.set_std t.env Ast.Egress_spec
+      (Value.of_int ~width:9 (out.Device.o_port land 0x1ff));
+    let truthy e = Value.to_bool (P4ir.Exec.eval t.ctx e) in
+    List.iteri
+      (fun i (r : Wire.rule) ->
+        let applies = match r.Wire.r_filter with None -> true | Some f -> truthy f in
+        if applies then begin
+          matched i;
+          verdict i (truthy r.Wire.r_expect)
+        end)
+      rules
+end
+
+(* emissions the checker is held to: for each library program, a probe
+   set plus seeded mutations of it, through the shipped quirks (so the
+   reject quirk puts malformed frames on the wire too) *)
+let checker_probes (b : Programs.bundle) =
+  let prng = Bitutil.Prng.create 0xC4EC in
+  let base =
+    [
+      P.serialize (P.udp_ipv4 ~dst:0x0A000005L ~ttl:64L ());
+      P.serialize (P.udp_ipv4 ~dst:0x0A010203L ~ttl:2L ());
+      P.serialize (P.udp_ipv4 ~dst:0xC0A80001L ~ttl:1L ());
+      P.serialize (P.udp_ipv4 ~eth_dst:0x020000000002L ~eth_src:0x02AAAAAAAAAAL ());
+      P.serialize (P.tcp_ipv4 ~src:0x0A000001L ~dst:0x0A010001L ~dst_port:23L ());
+      P.serialize (P.tcp_ipv4 ~src:0xC0A80001L ~dst:0x0A010005L ~dst_port:80L ());
+      P.serialize (P.arp_request ());
+      P.serialize
+        (P.fixup
+           (P.make
+              [
+                P.Eth (P.Eth.make ~ethertype:0x86DDL ());
+                P.Ipv6 (P.Ipv6.make ~dst:(0x20010DB8_0001_BBBBL, 1L) ~payload_len:0 ());
+              ]
+              ()));
+      P.serialize
+        (P.fixup
+           (P.make
+              [
+                P.Eth (P.Eth.make ());
+                P.Mpls (P.Mpls.make ~label:100L ~bos:1L ());
+                P.Ipv4 (P.Ipv4.make ~payload_len:0 ());
+              ]
+              ()));
+      P.serialize (P.map_ipv4 (fun ip -> { ip with P.Ipv4.checksum = 0xBADL }) (P.udp_ipv4 ()));
+      Bitstring.of_hex "45000014";
+      Bitstring.random prng 272;
+    ]
+  in
+  let lay = Fuzz.Mutate.layout_of b in
+  let mutated =
+    List.init 12 (fun i -> Fuzz.Mutate.mutate lay prng (List.nth base (i mod List.length base)))
+  in
+  base @ mutated
+
+let inject_probes (h : Harness.t) probes =
+  List.iteri
+    (fun i bits -> ignore (Device.inject h.Harness.device ~source:(Device.External (i mod 4)) bits))
+    probes
+
+(* what a faithful twin of the deployment emits for the probes, recorded
+   at the check point *)
+let recorded_emissions =
+  let memo = Hashtbl.create 16 in
+  fun (b : Programs.bundle) ->
+    match Hashtbl.find_opt memo b.Programs.program.Ast.p_name with
+    | Some e -> e
+    | None ->
+        let h = Harness.deploy b in
+        let seen = ref [] in
+        Device.set_check_tap h.Harness.device (fun o -> seen := o :: !seen);
+        inject_probes h (checker_probes b);
+        let e = List.rev !seen in
+        Hashtbl.add memo b.Programs.program.Ast.p_name e;
+        e
+
+(* rules over a program's names — declared and undeclared headers,
+   fields, metadata and an unbound parameter — built from filters,
+   slices, concats, shifts, comparisons and [Std] fields *)
+let gen_rules (prog : Ast.program) : Wire.rule list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let headers = prog.Ast.p_headers in
+  let header = oneofl headers in
+  let field_decl =
+    header >>= fun (hd : Ast.header_decl) ->
+    oneofl hd.Ast.h_fields >|= fun (f : Ast.field_decl) -> (hd.Ast.h_name, f)
+  in
+  let field = field_decl >|= fun (h, (f : Ast.field_decl)) -> Ast.Field (h, f.Ast.f_name) in
+  (* a slice inside the field's width *)
+  let slice =
+    field_decl >>= fun (h, (f : Ast.field_decl)) ->
+    int_bound (f.Ast.f_width - 1) >>= fun lsb ->
+    int_bound (min 7 (f.Ast.f_width - 1 - lsb)) >|= fun k ->
+    Ast.Slice (Ast.Field (h, f.Ast.f_name), lsb + k, lsb)
+  in
+  let const =
+    int_range 1 16 >>= fun w ->
+    int_bound ((1 lsl w) - 1) >|= fun v -> Ast.Const (Value.of_int ~width:w v)
+  in
+  let std =
+    oneofl [ Ast.Ingress_port; Ast.Egress_spec; Ast.Packet_length; Ast.Parser_error ]
+    >|= fun sf -> Ast.Std sf
+  in
+  let leaf =
+    frequency
+      ([
+         (6, field);
+         (2, slice);
+         (3, const);
+         (2, std);
+         (1, header >|= fun (hd : Ast.header_decl) -> Ast.Valid hd.Ast.h_name);
+       ]
+      @ List.map (fun (m : Ast.field_decl) -> (1, pure (Ast.Meta m.Ast.f_name))) prog.Ast.p_metadata)
+  in
+  (* names the program does not declare, slices past an operand's width
+     and concats wider than 64 bits: the tree walk raises on each *)
+  let ill_formed =
+    oneof
+      [
+        pure (Ast.Field ("nohdr", "x"));
+        (header >|= fun (hd : Ast.header_decl) -> Ast.Field (hd.Ast.h_name, "nofld"));
+        pure (Ast.Valid "nohdr");
+        pure (Ast.Meta "nometa");
+        pure (Ast.Param "p");
+        (field >|= fun e -> Ast.Slice (Ast.Bin (Ast.Eq, e, e), 3, 1));
+        (field >|= fun e -> Ast.Concat (Ast.Concat (e, e), Ast.Concat (e, e)));
+      ]
+  in
+  let cmp = oneofl Ast.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+  let arith = oneofl Ast.[ Add; Sub; Mul; BAnd; BOr; BXor ] in
+  let rec expr n =
+    if n = 0 then leaf
+    else
+      let sub = expr (n - 1) in
+      frequency
+        [
+          (3, leaf);
+          (3, map3 (fun op a b -> Ast.Bin (op, a, b)) cmp sub sub);
+          (2, map3 (fun op a b -> Ast.Bin (op, a, b)) arith sub sub);
+          (1, map3 (fun op a b -> Ast.Bin (op, a, b)) (oneofl Ast.[ LAnd; LOr ]) sub sub);
+          (1, map2 (fun a b -> Ast.Concat (a, b)) leaf leaf);
+          ( 1,
+            map3
+              (fun op e k -> Ast.Bin (op, e, Ast.Const (Value.of_int ~width:8 k)))
+              (oneofl Ast.[ Shl; Shr ])
+              sub (int_bound 70) );
+          (1, map2 (fun op e -> Ast.Un (op, e)) (oneofl Ast.[ LNot; BNot ]) sub);
+        ]
+  in
+  let port_rule =
+    int_bound 3 >|= fun p ->
+    Ast.Bin (Ast.Eq, Ast.Std Ast.Egress_spec, Ast.Const (Value.of_int ~width:9 p))
+  in
+  let expect =
+    frequency
+      [
+        (8, expr 3);
+        (2, port_rule);
+        (1, map3 (fun op a b -> Ast.Bin (op, a, b)) cmp ill_formed (expr 1));
+      ]
+  in
+  let rule i =
+    pair (opt ~ratio:0.4 (expr 2)) expect >|= fun (filter, expect) ->
+    { Wire.r_name = Printf.sprintf "r%d" i; r_filter = filter; r_expect = expect }
+  in
+  int_range 1 6 >>= fun n -> flatten_l (List.init n rule)
+
+type judged = {
+  j_rules : (string * int * int * int) list;
+  j_captures : (string * int * float * string) list;  (* oldest first *)
+  j_raised : string option;
+}
+
+let show_judged j =
+  Printf.sprintf "rules=[%s] captures=%d raised=%s"
+    (String.concat "; "
+       (List.map (fun (n, m, p, f) -> Printf.sprintf "%s %d/%d/%d" n m p f) j.j_rules))
+    (List.length j.j_captures)
+    (Option.value j.j_raised ~default:"-")
+
+let of_summary (s : Wire.checker_summary) raised =
+  {
+    j_rules =
+      List.map
+        (fun (r : Wire.rule_stats) ->
+          (r.Wire.rs_name, r.Wire.rs_matched, r.Wire.rs_passed, r.Wire.rs_failed))
+        s.Wire.cs_rules;
+    j_captures =
+      List.map
+        (fun (c : Wire.capture) ->
+          (c.Wire.cap_rule, c.Wire.cap_port, c.Wire.cap_time_ns, Bitstring.to_hex c.Wire.cap_bits))
+        s.Wire.cs_captures;
+    j_raised = raised;
+  }
+
+(* the checker on a fresh deployment, fed the probes *)
+let staged_judged (b : Programs.bundle) rules =
+  let h = Harness.deploy b in
+  let chk = Netdebug.Agent.checker h.Harness.agent in
+  Netdebug.Checker.configure chk rules;
+  let raised =
+    match inject_probes h (checker_probes b) with
+    | () -> None
+    | exception Invalid_argument m -> Some m
+  in
+  of_summary (Netdebug.Checker.summary chk) raised
+
+(* the tree walk over the twin's recorded emissions, with the checker's
+   tallies and its 64-capture bound *)
+let tree_judged (b : Programs.bundle) (rules : Wire.rule list) =
+  let walk = Tree_walk.create b.Programs.program in
+  let n = List.length rules in
+  let matched = Array.make n 0 and passed = Array.make n 0 and failed = Array.make n 0 in
+  let names = Array.of_list (List.map (fun (r : Wire.rule) -> r.Wire.r_name) rules) in
+  let captures = ref [] and n_captures = ref 0 in
+  let raised =
+    match
+      List.iter
+        (fun (o : Device.output) ->
+          Tree_walk.judge walk rules o
+            ~matched:(fun i -> matched.(i) <- matched.(i) + 1)
+            ~verdict:(fun i held ->
+              if held then passed.(i) <- passed.(i) + 1
+              else begin
+                failed.(i) <- failed.(i) + 1;
+                if !n_captures < 64 then begin
+                  captures :=
+                    ( names.(i),
+                      o.Device.o_port,
+                      o.Device.o_out_time_ns,
+                      Bitstring.to_hex o.Device.o_bits )
+                    :: !captures;
+                  incr n_captures
+                end
+              end))
+        (recorded_emissions b)
+    with
+    | () -> None
+    | exception Invalid_argument m -> Some m
+  in
+  {
+    j_rules = List.init n (fun i -> (names.(i), matched.(i), passed.(i), failed.(i)));
+    j_captures = List.rev !captures;
+    j_raised = raised;
+  }
+
+let prop_checker_matches_tree_walk =
+  QCheck.Test.make ~count:25 ~name:"staged checker == tree rule walk (all programs)"
+    QCheck.(int_bound 0xFFFFFF)
+    (fun seed ->
+      let rand = Random.State.make [| seed |] in
+      List.for_all
+        (fun (b : Programs.bundle) ->
+          let rules = QCheck.Gen.generate1 ~rand (gen_rules b.Programs.program) in
+          let staged = staged_judged b rules and tree = tree_judged b rules in
+          staged = tree
+          || QCheck.Test.fail_reportf "%s: staged %s\n  tree %s\n  rules:\n%s"
+               b.Programs.program.Ast.p_name (show_judged staged) (show_judged tree)
+               (String.concat "\n"
+                  (List.map
+                     (fun (r : Wire.rule) ->
+                       Format.asprintf "    %s: filter=%a expect=%a" r.Wire.r_name
+                         (Format.pp_print_option P4ir.Pp.pp_expr)
+                         r.Wire.r_filter P4ir.Pp.pp_expr r.Wire.r_expect)
+                     rules)))
+        Programs.all)
+
+(* The soak's own traffic with its validation bursts: the registry's
+   cumulative checker/{seen,pass,fail} must equal what the tree walk
+   reports for the same emissions under the same armed rules. The twin
+   soak's tap runs the tree walk over whatever rules its checker holds
+   at the moment, so stale rules left armed between bursts are judged
+   exactly as the checker judges them. *)
+let test_soak_checker_counts_match_tree_walk () =
+  let cfg = { Obs.Soak.default_cfg with Obs.Soak.sk_budget = 4_000; sk_seed = 1 } in
+  let counter (h : Harness.t) name =
+    Int64.to_int
+      (Stats.Counter.get (Telemetry.Registry.counter (Device.metrics h.Harness.device) name))
+  in
+  let staged = Harness.deploy Programs.basic_router in
+  ignore (Obs.Soak.run ~cfg staged);
+  let twin = Harness.deploy Programs.basic_router in
+  let chk = Netdebug.Agent.checker twin.Harness.agent in
+  let walk = Tree_walk.create Programs.basic_router.Programs.program in
+  let seen = ref 0 and pass = ref 0 and fail = ref 0 in
+  Device.set_check_tap twin.Harness.device (fun o ->
+      incr seen;
+      Tree_walk.judge walk (Netdebug.Checker.rules chk) o ~matched:ignore ~verdict:(fun _ held ->
+          if held then incr pass else incr fail));
+  ignore (Obs.Soak.run ~cfg twin);
+  check_int "checker/seen" !seen (counter staged "checker/seen");
+  check_int "checker/pass" !pass (counter staged "checker/pass");
+  check_int "checker/fail" !fail (counter staged "checker/fail");
+  check_bool "stale rules judged background traffic" true (!fail > 0)
+
 let () =
   Alcotest.run "netdebug"
     [
@@ -648,6 +965,9 @@ let () =
             test_checker_sees_parser_error_of_output;
           Alcotest.test_case "register read over channel" `Quick
             test_register_read_over_channel;
+          QCheck_alcotest.to_alcotest prop_checker_matches_tree_walk;
+          Alcotest.test_case "soak checker counts match the tree walk" `Quick
+            test_soak_checker_counts_match_tree_walk;
         ] );
       ( "case_study",
         [ Alcotest.test_case "reject bug (Section 4)" `Quick test_case_study_reject_bug_detected ] );

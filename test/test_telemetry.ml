@@ -62,20 +62,32 @@ let test_span_intern_stable () =
   let ids = List.init 100 (fun i -> Span.intern s (string_of_int i)) in
   check_string "growth keeps names" "42" (Span.name_of s (List.nth ids 42))
 
+(* storage grows on demand (from 256 slots, doubling, up to the
+   capacity), so the larger cases cross the growth steps before and
+   after the ring wraps *)
 let test_span_ring_eviction () =
-  let s = Span.create ~capacity:4 () in
-  let n = Span.intern s "e" in
-  for i = 0 to 9 do
-    ignore
-      (Span.add s ~parent:Span.no_parent ~packet:i ~kind:Span.Stage ~name:n
-         ~t0:(float_of_int i) ~t1:(float_of_int i) ~bytes:0 ~flags:0 ~note:Span.no_note)
-  done;
-  check_int "retained" 4 (Span.count s);
-  check_int "evicted" 6 (Span.dropped s);
-  (* oldest first, and only the newest four survive *)
-  Alcotest.(check (list int))
-    "survivors" [ 6; 7; 8; 9 ]
-    (List.map (fun sp -> sp.Span.sp_packet) (Span.spans s))
+  List.iter
+    (fun (capacity, n) ->
+      let s = Span.create ~capacity () in
+      let e = Span.intern s "e" in
+      for i = 0 to n - 1 do
+        ignore
+          (Span.add s ~parent:(i - 1) ~packet:i ~kind:Span.Stage ~name:e
+             ~t0:(float_of_int i) ~t1:(float_of_int i) ~bytes:0 ~flags:0 ~note:Span.no_note)
+      done;
+      let kept = min capacity n in
+      check_int "retained" kept (Span.count s);
+      check_int "evicted" (n - kept) (Span.dropped s);
+      (* oldest first, and only the newest [capacity] survive intact *)
+      let first = n - kept in
+      let span_t = Alcotest.(triple int int (float 0.0)) in
+      Alcotest.(check (list span_t))
+        "survivors"
+        (List.init kept (fun j -> (first + j, first + j - 1, float_of_int (first + j))))
+        (List.map
+           (fun sp -> (sp.Span.sp_packet, sp.Span.sp_parent, sp.Span.sp_start_ns))
+           (Span.spans s)))
+    [ (4, 10); (1000, 300); (1000, 2500) ]
 
 let test_span_sampling () =
   let s = Span.create ~sampling:4 () in
